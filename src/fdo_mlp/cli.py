@@ -13,35 +13,24 @@ output is written to a temporary file and renamed into place.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import benchmark_names, get_benchmark
 from .data import (LabeledDataset, generate_synthetic, load_csv,
-                   min_max_normalize, save_csv, select_features)
-from .evaluation import (ClassSuccessReport, CrossValReport, auc, bp_trainer,
-                         classification_rate, confusion_matrix, cross_validate,
-                         format_metric, metrics, per_class_success)
+                   min_max_normalize, save_csv, select_features, write_text_atomic)
+from .evaluation import (METRIC_NAMES, ClassSuccessReport, CrossValReport, bp_trainer,
+                         cross_validate, format_metric, per_class_success, score)
 from .fdo import DEFAULT_SEED, EvaluationError, FdoConfig, optimize, uniform_bounds
-from .mlp import (MlpParams, MlpTopology, forward_batch, hidden_size_rule,
-                  load_params, params_to_text, predict_batch)
+from .mlp import MlpTopology, hidden_size_rule, load_params, params_to_text
 from .training import (TRAINING_PRESETS, TrainingConfig, run_statistics,
                        train_bp_mlp, train_fdo_mlp)
 
 
 class CliError(Exception):
     """User-facing failure; the message is printed and the command exits 1."""
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def _fmt(value) -> str:
@@ -158,13 +147,16 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Abbreviated flags are refused: _apply_config only recognises a flag
+    # given by its full name, so a prefix would lose to the config file.
     parser = argparse.ArgumentParser(
-        prog="fdo-mlp",
+        prog="fdo-mlp", allow_abbrev=False,
         description="Train and evaluate MLP classifiers with the fitness "
                     "dependent optimizer.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic two-cluster dataset")
+    p = sub.add_parser("generate", allow_abbrev=False,
+                       help="write a synthetic two-cluster dataset")
     p.add_argument("--samples", type=int, default=287)
     p.add_argument("--features", type=int, default=18)
     p.add_argument("--separation", type=float, default=6.0,
@@ -174,13 +166,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV path (default: OUT_DIR/dataset.csv)")
     _add_common(p)
 
-    p = sub.add_parser("train", help="train a classifier and write model, "
-                                     "convergence curve and metrics")
+    p = sub.add_parser("train", allow_abbrev=False,
+                       help="train a classifier and write model, convergence "
+                            "curve and metrics")
     _add_data_args(p)
     _add_train_args(p)
     _add_common(p)
 
-    p = sub.add_parser("evaluate", help="score a saved model against a dataset")
+    p = sub.add_parser("evaluate", allow_abbrev=False,
+                       help="score a saved model against a dataset")
     p.add_argument("--model", required=True, help="model file written by train")
     _add_data_args(p)
     p.add_argument("--threshold", type=float, default=0.5)
@@ -189,13 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="must match the activation the model was trained with")
     _add_common(p)
 
-    p = sub.add_parser("crossval", help="k-fold cross-validation")
+    p = sub.add_parser("crossval", allow_abbrev=False, help="k-fold cross-validation")
     _add_data_args(p)
     p.add_argument("--k", type=int, default=5, help="fold count (default 5)")
     _add_train_args(p)
     _add_common(p)
 
-    p = sub.add_parser("benchmark", help="run the optimizer on a test function")
+    p = sub.add_parser("benchmark", allow_abbrev=False,
+                       help="run the optimizer on a test function")
     p.add_argument("--function", choices=tuple(benchmark_names()), default="sphere")
     p.add_argument("--dimension", type=int, default=10)
     p.add_argument("--population", type=int, default=30)
@@ -241,24 +236,12 @@ def _training_config(args: argparse.Namespace, n_features: int) -> TrainingConfi
         sigmoid_output=args.output_activation == "sigmoid")
 
 
-def _metrics_csv(report) -> str:
-    names = ("sensitivity", "specificity", "ppv", "npv", "accuracy", "auc")
-    values = ",".join(_fmt(getattr(report, name)) for name in names)
-    return ",".join(names) + "\n" + values + "\n"
-
-
-def _score_report(params: MlpParams, data: LabeledDataset, threshold: float,
-                  sigmoid_output: bool):
-    """Confusion matrix and metrics (with AUC) of a model on a dataset."""
-    predictions = predict_batch(params, data.features, threshold, sigmoid_output)
-    cm = confusion_matrix(predictions, data.labels)
-    outputs = forward_batch(params, data.features, sigmoid_output)
-    scores = outputs[:, 0] if outputs.shape[1] == 1 else outputs[:, 1]
-    return cm, replace(metrics(cm), auc=auc(scores, data.labels))
+def _metric_values(report) -> str:
+    return ",".join(_fmt(getattr(report, name)) for name in METRIC_NAMES)
 
 
 def _print_metrics(report) -> None:
-    for name in ("sensitivity", "specificity", "ppv", "npv", "accuracy", "auc"):
+    for name in METRIC_NAMES:
         value = getattr(report, name)
         raw = "" if value is None else f"  (raw {value:.6f})"
         print(f"  {name:<12} {format_metric(value)}{raw}")
@@ -273,10 +256,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     data = generate_synthetic(args.samples, args.features, args.separation,
                               args.balance, rng)
     out = Path(args.out) if args.out else Path(args.out_dir) / "dataset.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    tmp = out.with_name(out.name + ".tmp")
-    save_csv(data, tmp, label_column="label")
-    os.replace(tmp, out)
+    save_csv(data, out, label_column="label")
     positives = int(np.sum(data.labels == 1))
     print(f"wrote {data.n_samples} samples x {data.n_features} features to {out} "
           f"({positives} positive / {data.n_samples - positives} negative)")
@@ -292,17 +272,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         model = train_bp_mlp(data, config.topology, args.learning_rate,
                              args.epochs, np.random.default_rng(args.seed),
                              sigmoid_output=config.sigmoid_output)
-    rate = classification_rate(model.params, data, args.threshold,
+    _, rate, _, report = score(model.params, data, args.threshold,
                                config.sigmoid_output)
-    _, report = _score_report(model.params, data, args.threshold,
-                              config.sigmoid_output)
 
     out_dir = Path(args.out_dir)
-    _write_text(out_dir / "model.txt", params_to_text(model.params))
+    write_text_atomic(out_dir / "model.txt", params_to_text(model.params))
     curve_lines = ["iteration,best_mse"]
     curve_lines += [f"{i + 1},{v!r}" for i, v in enumerate(model.curve.values)]
-    _write_text(out_dir / "convergence.csv", "\n".join(curve_lines) + "\n")
-    _write_text(out_dir / "metrics.csv", _metrics_csv(report))
+    write_text_atomic(out_dir / "convergence.csv", "\n".join(curve_lines) + "\n")
+    write_text_atomic(out_dir / "metrics.csv",
+                      ",".join(METRIC_NAMES) + "\n" + _metric_values(report) + "\n")
 
     print(f"trainer={args.trainer}  train_mse={model.train_mse:.6f}  "
           f"classification_rate={rate:.4f}")
@@ -319,8 +298,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(
             f"dataset has {data.n_features} features but the model expects "
             f"{params.topology.inputs}")
-    cm, report = _score_report(params, data, args.threshold,
-                               args.output_activation == "sigmoid")
+    _, _, cm, report = score(params, data, args.threshold,
+                             args.output_activation == "sigmoid")
     print("confusion matrix (class 1 positive):")
     print(f"  tp={cm.tp}  fp={cm.fp}")
     print(f"  fn={cm.fn}  tn={cm.tn}")
@@ -344,14 +323,9 @@ def _crossval_csvs(report: CrossValReport, success: ClassSuccessReport) -> dict[
     success_lines.append(f"total,positive,{tp.total},{tp.correct},{_fmt(tp.rate)}")
     success_lines.append(f"total,negative,{tn.total},{tn.correct},{_fmt(tn.rate)}")
 
-    metric_names = ("sensitivity", "specificity", "ppv", "npv", "accuracy", "auc")
-    metric_lines = ["fold," + ",".join(metric_names)]
-    for f in report.folds:
-        metric_lines.append(str(f.fold) + "," + ",".join(
-            _fmt(getattr(f.metrics, name)) for name in metric_names))
-    avg = report.average_metrics()
-    metric_lines.append("average," + ",".join(
-        _fmt(getattr(avg, name)) for name in metric_names))
+    metric_lines = ["fold," + ",".join(METRIC_NAMES)]
+    metric_lines += [f"{f.fold},{_metric_values(f.metrics)}" for f in report.folds]
+    metric_lines.append(f"average,{_metric_values(report.average_metrics())}")
 
     return {
         "folds.csv": "\n".join(fold_lines) + "\n",
@@ -371,7 +345,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     for name, text in _crossval_csvs(report, success).items():
-        _write_text(out_dir / name, text)
+        write_text_atomic(out_dir / name, text)
 
     print(f"{args.k}-fold cross-validation ({args.trainer} trainer)")
     print("fold  role      samples  mse         rate")
@@ -406,8 +380,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     stats_text = ("avg,std,best,worst\n"
                   f"{stats.avg!r},{stats.std!r},{stats.best!r},{stats.worst!r}\n")
-    _write_text(out_dir / "statistics.csv", stats_text)
-    _write_text(out_dir / "curves.csv", "\n".join(curve_lines) + "\n")
+    write_text_atomic(out_dir / "statistics.csv", stats_text)
+    write_text_atomic(out_dir / "curves.csv", "\n".join(curve_lines) + "\n")
 
     print(f"{bench.name} d={args.dimension}: {args.repeats} runs, "
           f"{args.population} scouts x {args.iterations} iterations")

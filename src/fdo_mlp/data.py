@@ -10,6 +10,8 @@ avoids leaking test statistics into training).
 from __future__ import annotations
 
 import csv
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -63,8 +65,9 @@ class LabeledDataset:
 def load_csv(path, label_column: str) -> LabeledDataset:
     """Read a comma-separated file with a header row into a dataset.
 
-    All cells must parse as decimal numbers; the label column must contain
-    only 0 and 1. Parse failures report the file line and column name.
+    All cells must parse as finite decimal numbers; the label column must
+    contain only 0 and 1. Parse failures report the file line and column
+    name; a feature column whose max - min overflows is rejected by name.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -90,10 +93,12 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             for idx, cell in enumerate(row):
                 try:
                     value = float(cell)
+                    if not math.isfinite(value):
+                        raise ValueError
                 except ValueError:
                     raise ValueError(
                         f"{path}: line {line_no}, column {header[idx]!r}: "
-                        f"cannot parse {cell.strip()!r} as a number") from None
+                        f"cannot parse {cell.strip()!r} as a finite number") from None
                 values.append(value)
             label = values.pop(label_idx)
             if label not in (0.0, 1.0):
@@ -104,17 +109,36 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             labels.append(int(label))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return LabeledDataset(np.array(rows, dtype=float),
-                          np.array(labels, dtype=int), feature_names)
+    features = np.array(rows, dtype=float)
+    with np.errstate(over="ignore"):
+        spans = features.max(axis=0) - features.min(axis=0)
+    for name, span in zip(feature_names, spans):
+        if not math.isfinite(span):
+            raise ValueError(f"{path}: column {name!r}: max - min is not finite")
+    return LabeledDataset(features, np.array(labels, dtype=int), feature_names)
 
 
 def save_csv(data: LabeledDataset, path, label_column: str = "label") -> None:
     """Write a dataset as CSV with full repr precision (reload is exact)."""
-    path = Path(path)
     lines = [",".join(list(data.column_names) + [label_column])]
     for row, label in zip(data.features, data.labels):
         lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` to ``path`` via ``.<name>.<pid>.tmp`` renamed into place,
+    creating parent directories; the pid keeps concurrent writers apart and
+    the temporary file is removed on failure."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def min_max_normalize(data: LabeledDataset) -> LabeledDataset:

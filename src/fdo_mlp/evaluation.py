@@ -10,14 +10,15 @@ reporting convention used elsewhere in this package's tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import LabeledDataset, min_max_normalize, normalize_with
-from .mlp import forward_batch, predict_batch
-from .training import TrainedModel, TrainingConfig, mse_fitness, train_fdo_mlp
+from .mlp import MlpParams, forward_batch, output_labels, predict_batch
+from .training import TrainedModel, TrainingConfig, output_mse, train_fdo_mlp
+from .training import mse_fitness  # noqa: F401  unused, but perfbench/tracing.py patches it
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,10 @@ class MetricsReport:
     npv: float | None
     accuracy: float | None
     auc: float | None = None
+
+
+#: The report's fields in order: the columns of every metrics file and table.
+METRIC_NAMES = tuple(field.name for field in fields(MetricsReport))
 
 
 def confusion_matrix(predicted, actual) -> ConfusionMatrix:
@@ -102,15 +107,9 @@ def auc(scores, actual) -> float | None:
     n_neg = int(np.sum(actual == 0))
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and scores[order[j]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)  # average of ranks i+1 .. j
-        i = j
+    # a group of c tied scores ending at sorted position j shares rank j - (c-1)/2
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum = float(ranks[actual == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -167,6 +166,19 @@ def kfold_splits(sample_count: int, k: int,
     return FoldAssignment(k=k, membership=membership)
 
 
+def score(params: MlpParams, data: LabeledDataset, threshold: float,
+          sigmoid_output: bool) -> tuple[float, float, ConfusionMatrix, MetricsReport]:
+    """MSE, classification rate, confusion matrix and metrics with AUC, all
+    from one forward pass; AUC ranks the single or else the class-1 output."""
+    outputs = forward_batch(params, data.features, sigmoid_output)
+    predictions = output_labels(outputs, threshold)
+    cm = confusion_matrix(predictions, data.labels)
+    scores = outputs[:, 0] if outputs.shape[1] == 1 else outputs[:, 1]
+    report = replace(metrics(cm), auc=auc(scores, data.labels))
+    return (output_mse(outputs, data.labels),
+            float(np.mean(predictions == data.labels)), cm, report)
+
+
 def classification_rate(model_params, data: LabeledDataset, threshold: float = 0.5,
                         sigmoid_output: bool = False) -> float:
     """Fraction of samples whose predicted class matches the label."""
@@ -214,9 +226,7 @@ class CrossValReport:
                        if getattr(f.metrics, name) is not None]
             return float(np.mean(defined)) if defined else None
 
-        return MetricsReport(*(mean_of(name) for name in
-                               ("sensitivity", "specificity", "ppv", "npv",
-                                "accuracy", "auc")))
+        return MetricsReport(*(mean_of(name) for name in METRIC_NAMES))
 
 
 Trainer = Callable[[LabeledDataset, TrainingConfig, np.random.Generator], TrainedModel]
@@ -264,16 +274,8 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
         model = train(train_data, config, fold_rngs[fold])
         train_rate = classification_rate(model.params, train_data,
                                          config.threshold, config.sigmoid_output)
-        test_mse = mse_fitness(model.params, test_data, config.sigmoid_output)
-        test_rate = classification_rate(model.params, test_data,
-                                        config.threshold, config.sigmoid_output)
-        predictions = predict_batch(model.params, test_data.features,
-                                    config.threshold, config.sigmoid_output)
-        cm = confusion_matrix(predictions, test_data.labels)
-        report = metrics(cm)
-        outputs = forward_batch(model.params, test_data.features, config.sigmoid_output)
-        scores = outputs[:, 0] if outputs.shape[1] == 1 else outputs[:, 1]
-        report = replace(report, auc=auc(scores, test_data.labels))
+        test_mse, test_rate, cm, report = score(model.params, test_data,
+                                                config.threshold, config.sigmoid_output)
         reports.append(FoldReport(
             fold=fold + 1, train_size=train_data.n_samples, test_size=test_data.n_samples,
             train_mse=model.train_mse, train_rate=train_rate,
@@ -302,14 +304,6 @@ class ClassSuccessReport:
     per_fold: tuple[tuple[ClassSuccess, ClassSuccess], ...]
     total_positive: ClassSuccess
     total_negative: ClassSuccess
-
-    def mean_positive_rate(self) -> float | None:
-        defined = [p.rate for p, _ in self.per_fold if p.rate is not None]
-        return float(np.mean(defined)) if defined else None
-
-    def mean_negative_rate(self) -> float | None:
-        defined = [n.rate for _, n in self.per_fold if n.rate is not None]
-        return float(np.mean(defined)) if defined else None
 
 
 def per_class_success(cms: Sequence[ConfusionMatrix]) -> ClassSuccessReport:

@@ -14,11 +14,12 @@ which makes the total length (n+1)*m + (m+1)*o.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .data import write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -103,23 +104,22 @@ def encode(params: MlpParams) -> np.ndarray:
 
 
 def sigmoid(s):
-    """Logistic function 1 / (1 + exp(-s)), elementwise on arrays.
+    """Logistic function 1 / (1 + exp(-s)), elementwise; scalars give scalars.
 
-    Evaluated branch-wise so large negative inputs do not overflow exp.
+    One e = exp(-|s|) serves both signs, as 1 / (1 + e) for s >= 0 and
+    e / (1 + e) below, so exp never overflows.
     """
-    if np.ndim(s) == 0:
-        s = float(s)
-        if s >= 0.0:
-            return 1.0 / (1.0 + math.exp(-s))
-        e = math.exp(s)
-        return e / (1.0 + e)
     s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    positive = s >= 0.0
-    out[positive] = 1.0 / (1.0 + np.exp(-s[positive]))
-    e = np.exp(s[~positive])
-    out[~positive] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(s))
+    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
+
+
+def _forward_pass(params: MlpParams, x: np.ndarray,
+                  sigmoid_output: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and network outputs: the one forward body."""
+    hidden = sigmoid(x @ params.input_hidden_weights + params.hidden_biases)
+    out = hidden @ params.hidden_output_weights + params.output_biases
+    return hidden, (sigmoid(out) if sigmoid_output else out)
 
 
 def forward(params: MlpParams, inputs, sigmoid_output: bool = False) -> np.ndarray:
@@ -128,9 +128,7 @@ def forward(params: MlpParams, inputs, sigmoid_output: bool = False) -> np.ndarr
     n = params.input_hidden_weights.shape[0]
     if x.shape != (n,):
         raise ValueError(f"input has shape {x.shape}, expected ({n},)")
-    hidden = sigmoid(x @ params.input_hidden_weights + params.hidden_biases)
-    out = hidden @ params.hidden_output_weights + params.output_biases
-    return sigmoid(out) if sigmoid_output else out
+    return _forward_pass(params, x, sigmoid_output)[1]
 
 
 def forward_batch(params: MlpParams, inputs: np.ndarray,
@@ -140,33 +138,33 @@ def forward_batch(params: MlpParams, inputs: np.ndarray,
     n = params.input_hidden_weights.shape[0]
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"input matrix has shape {x.shape}, expected (*, {n})")
-    hidden = sigmoid(x @ params.input_hidden_weights + params.hidden_biases)
-    out = hidden @ params.hidden_output_weights + params.output_biases
-    return sigmoid(out) if sigmoid_output else out
+    return _forward_pass(params, x, sigmoid_output)[1]
 
 
-def predict_class(output, threshold: float = 0.5) -> int:
-    """Class label for one output vector.
+def output_labels(outputs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Class label for each row of a (samples, outputs) matrix.
 
     A single output unit thresholds at ``threshold`` (boundary counts as
     class 1); several output units pick the argmax, ties going to the
     lowest index.
     """
+    if outputs.shape[1] == 1:
+        return (outputs[:, 0] >= threshold).astype(int)
+    return np.argmax(outputs, axis=1)
+
+
+def predict_class(output, threshold: float = 0.5) -> int:
+    """Class label for one output vector, by :func:`output_labels`' rule."""
     output = np.asarray(output, dtype=float)
     if output.size == 0:
         raise ValueError("output vector is empty")
-    if output.size == 1:
-        return int(output[0] >= threshold)
-    return int(np.argmax(output))
+    return int(output_labels(output.reshape(1, -1), threshold)[0])
 
 
 def predict_batch(params: MlpParams, inputs: np.ndarray, threshold: float = 0.5,
                   sigmoid_output: bool = False) -> np.ndarray:
     """Predicted class labels for each row of a feature matrix."""
-    out = forward_batch(params, inputs, sigmoid_output)
-    if out.shape[1] == 1:
-        return (out[:, 0] >= threshold).astype(int)
-    return np.argmax(out, axis=1)
+    return output_labels(forward_batch(params, inputs, sigmoid_output), threshold)
 
 
 def params_to_text(params: MlpParams) -> str:
@@ -194,8 +192,8 @@ def params_from_text(text: str, source: str = "<text>") -> MlpParams:
 
 
 def save_params(params: MlpParams, path) -> None:
-    """Write :func:`params_to_text` output to a file."""
-    Path(path).write_text(params_to_text(params), encoding="utf-8")
+    """Write :func:`params_to_text` output to a file, atomically."""
+    write_text_atomic(path, params_to_text(params))
 
 
 def load_params(path) -> MlpParams:

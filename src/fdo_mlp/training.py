@@ -18,8 +18,9 @@ import numpy as np
 from .data import LabeledDataset
 from .fdo import (DEFAULT_SEED, ConvergenceCurve, EvaluationError, FdoConfig,
                   optimize, uniform_bounds)
-from .mlp import (MlpParams, MlpTopology, decode, forward_batch, sigmoid,
+from .mlp import (MlpParams, MlpTopology, _forward_pass, decode, forward_batch,
                   vector_dimension)
+from .mlp import sigmoid  # noqa: F401  unused, but perfbench/tracing.py patches it
 
 #: Stock search budgets (scouts, iterations). "short" is the default.
 TRAINING_PRESETS: dict[str, tuple[int, int]] = {
@@ -111,28 +112,32 @@ def _target_matrix(labels: np.ndarray, outputs: int) -> np.ndarray:
     return targets
 
 
-def mse_fitness(params: MlpParams, data: LabeledDataset,
-                sigmoid_output: bool = False) -> float:
-    """Mean over samples of the summed squared output errors."""
+def output_mse(outputs: np.ndarray, labels: np.ndarray) -> float:
+    """MSE of a (samples, outputs) matrix against 0/1 labels, one-hot if o > 1."""
+    targets = _target_matrix(labels, outputs.shape[1])
+    return float(np.mean(np.sum((outputs - targets) ** 2, axis=1)))
+
+
+def _check_dataset(topology: MlpTopology, data: LabeledDataset) -> None:
     if data.n_samples == 0:
         raise ValueError("dataset is empty")
-    topology = params.topology
     if data.n_features != topology.inputs:
         raise ValueError(
             f"dataset has {data.n_features} features but the network expects "
             f"{topology.inputs}")
-    outputs = forward_batch(params, data.features, sigmoid_output)
-    targets = _target_matrix(data.labels, topology.outputs)
-    return float(np.mean(np.sum((outputs - targets) ** 2, axis=1)))
+
+
+def mse_fitness(params: MlpParams, data: LabeledDataset,
+                sigmoid_output: bool = False) -> float:
+    """Mean over samples of the summed squared output errors."""
+    _check_dataset(params.topology, data)
+    return output_mse(forward_batch(params, data.features, sigmoid_output), data.labels)
 
 
 def make_objective(topology: MlpTopology, data: LabeledDataset,
                    sigmoid_output: bool = False) -> Callable[[np.ndarray], float]:
     """Pure objective mapping a flat parameter vector to its training MSE."""
-    if data.n_features != topology.inputs:
-        raise ValueError(
-            f"dataset has {data.n_features} features but the network expects "
-            f"{topology.inputs}")
+    _check_dataset(topology, data)
 
     def objective(flat: np.ndarray) -> float:
         return mse_fitness(decode(flat, topology), data, sigmoid_output)
@@ -150,26 +155,28 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
                         curve=result.curve, config=config)
 
 
-def mse_gradient(params: MlpParams, data: LabeledDataset,
-                 sigmoid_output: bool = False) -> MlpParams:
-    """Analytic gradient of :func:`mse_fitness`, arranged like the params."""
-    topology = params.topology
+def _loss_and_gradient(params: MlpParams, data: LabeledDataset,
+                       sigmoid_output: bool) -> tuple[float, MlpParams]:
+    """:func:`mse_fitness` and its gradient from one forward pass."""
     x = data.features
-    targets = _target_matrix(data.labels, topology.outputs)
-    n = data.n_samples
-    hidden = sigmoid(x @ params.input_hidden_weights + params.hidden_biases)
-    out = hidden @ params.hidden_output_weights + params.output_biases
+    hidden, out = _forward_pass(params, x, sigmoid_output)
+    loss = output_mse(out, data.labels)
+    d_out = (2.0 / data.n_samples) * (out - _target_matrix(data.labels, out.shape[1]))
     if sigmoid_output:
-        out_act = sigmoid(out)
-        d_out = (2.0 / n) * (out_act - targets) * out_act * (1.0 - out_act)
-    else:
-        d_out = (2.0 / n) * (out - targets)
+        d_out = d_out * out * (1.0 - out)
     grad_v = hidden.T @ d_out
     grad_bo = d_out.sum(axis=0)
     d_hidden = (d_out @ params.hidden_output_weights.T) * hidden * (1.0 - hidden)
     grad_w = x.T @ d_hidden
     grad_bh = d_hidden.sum(axis=0)
-    return MlpParams(grad_w, grad_bh, grad_v, grad_bo)
+    return loss, MlpParams(grad_w, grad_bh, grad_v, grad_bo)
+
+
+def mse_gradient(params: MlpParams, data: LabeledDataset,
+                 sigmoid_output: bool = False) -> MlpParams:
+    """Analytic gradient of :func:`mse_fitness`, arranged like the params;
+    the gradient half of the loss-and-gradient pass backprop trains with."""
+    return _loss_and_gradient(params, data, sigmoid_output)[1]
 
 
 def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
@@ -187,22 +194,23 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
         raise ValueError("learning_rate must be non-negative")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
+    _check_dataset(topology, train_data)
     gen = _as_generator(rng)
     n, m, o = topology.inputs, topology.hidden, topology.outputs
     params = MlpParams(gen.uniform(-0.5, 0.5, (n, m)), gen.uniform(-0.5, 0.5, m),
                        gen.uniform(-0.5, 0.5, (m, o)), gen.uniform(-0.5, 0.5, o))
     best_params = params
-    best_loss = mse_fitness(params, train_data, sigmoid_output)
+    best_loss, grads = _loss_and_gradient(params, train_data, sigmoid_output)
     values: list[float] = []
     for epoch in range(1, epochs + 1):
-        grads = mse_gradient(params, train_data, sigmoid_output)
         params = MlpParams(
             params.input_hidden_weights - learning_rate * grads.input_hidden_weights,
             params.hidden_biases - learning_rate * grads.hidden_biases,
             params.hidden_output_weights - learning_rate * grads.hidden_output_weights,
             params.output_biases - learning_rate * grads.output_biases,
         )
-        loss = mse_fitness(params, train_data, sigmoid_output)
+        # the gradient for the next epoch comes from the pass that scores these params
+        loss, grads = _loss_and_gradient(params, train_data, sigmoid_output)
         if not np.isfinite(loss):
             raise EvaluationError(f"training diverged at epoch {epoch}")
         if loss < best_loss:

@@ -98,6 +98,20 @@ class TestConfigFile:
         lines = (out / "convergence.csv").read_text().splitlines()
         assert len(lines) == 5
 
+    def test_abbreviated_flag_is_refused_not_overridden(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = 7\n")
+        out = tmp_path / "bench"
+        with pytest.raises(SystemExit) as exit_info:
+            run("benchmark", "--iter", "2", "--config", cfg, "--repeats", 1,
+                "--out-dir", out)
+        assert exit_info.value.code == 2
+        assert "--iter" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("benchmark", "--iterations", "2", "--config", cfg,
+                   "--repeats", 1, "--out-dir", out) == 0
+        assert len((out / "curves.csv").read_text().splitlines()) == 3
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("swarm_size = 10\n")

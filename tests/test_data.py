@@ -1,11 +1,13 @@
 """Dataset ingestion, normalization, selection, splits, synthetic generation."""
 
+import os
+
 import numpy as np
 import pytest
 
 from fdo_mlp.data import (LabeledDataset, generate_synthetic, holdout_split,
                           load_csv, min_max_normalize, normalize_with, save_csv,
-                          select_features, xor_csv_path)
+                          select_features, write_text_atomic, xor_csv_path)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -45,6 +47,17 @@ class TestLoadCsv:
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(ValueError, match="no column named"):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_location(self, tmp_path, cell):
+        path = write(tmp_path, f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(ValueError, match=rf"data.csv: line 3, column 'b'.*{cell}"):
+            load_csv(path, "label")
+
+    def test_overflowing_column_span_names_column(self, tmp_path):
+        path = write(tmp_path, "a,b,label\n1,1e308,0\n2,-1e308,1\n")
+        with pytest.raises(ValueError, match=r"data.csv: column 'b'"):
             load_csv(path, "label")
 
     def test_ragged_row(self, tmp_path):
@@ -216,3 +229,39 @@ class TestBundledXor:
         assert data.n_samples == 4
         assert data.n_features == 2
         np.testing.assert_array_equal(np.sort(data.labels), [0, 0, 1, 1])
+
+
+class TestWriteTextAtomic:
+    def test_replaces_file_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "sub" / "out.txt"
+        write_text_atomic(target, "old\n")
+        write_text_atomic(target, "new\n")
+        assert target.read_text() == "new\n"
+        assert os.listdir(target.parent) == ["out.txt"]
+
+    def test_keeps_the_default_file_mode(self, tmp_path):
+        (tmp_path / "plain.txt").write_text("x")
+        write_text_atomic(tmp_path / "atomic.txt", "x")
+        assert ((tmp_path / "atomic.txt").stat().st_mode
+                == (tmp_path / "plain.txt").stat().st_mode)
+
+    def test_failed_rename_removes_temporary_and_keeps_target(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "inside").write_text("keep")
+        with pytest.raises(OSError):
+            write_text_atomic(target, "text")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+        assert (target / "inside").read_text() == "keep"
+
+    def test_temporary_name_is_per_process(self, tmp_path, monkeypatch):
+        seen = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        write_text_atomic(tmp_path / "out.csv", "x")
+        assert seen == [f".out.csv.{os.getpid()}.tmp"]

@@ -211,6 +211,25 @@ class TestCrossValidate:
         assert report.avg_train_mse == pytest.approx(
             np.mean([f.train_mse for f in report.folds]), abs=1e-12)
 
+    def test_scoring_takes_two_forward_passes_per_fold(self, monkeypatch):
+        from fdo_mlp import mlp
+        from fdo_mlp.fdo import ConvergenceCurve
+        from fdo_mlp.training import TrainedModel
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = TrainingConfig.for_topology(MlpTopology(2, 3, 1), population=4,
+                                             max_iterations=2, seed=2)
+        params = mlp.decode(np.linspace(-1.0, 1.0, 13), config.topology)
+
+        def train(train_data, cfg, rng):
+            return TrainedModel(params, 0.25, ConvergenceCurve((0.25,)), cfg)
+
+        calls = []
+        real = mlp._forward_pass
+        monkeypatch.setattr(mlp, "_forward_pass",
+                            lambda *args: calls.append(1) or real(*args))
+        cross_validate(data, 3, config, train=train)
+        assert len(calls) == 2 * 3  # train rate and test score, per fold
+
     def test_deterministic(self):
         data = generate_synthetic(30, 2, 5.0, 0.5, np.random.default_rng(3))
         a = cross_validate(data, 3, tiny_config(2, seed=9))

@@ -122,6 +122,23 @@ class TestSigmoid:
         assert sigmoid(-800.0) == 0.0
         assert sigmoid(800.0) == 1.0
 
+    def test_arrays_match_two_branch_reference_bitwise(self):
+        """The one-exp form equals masked 1/(1+exp(-s)) and exp(s)/(1+exp(s))."""
+        def reference(s):
+            out = np.empty_like(s)
+            positive = s >= 0.0
+            out[positive] = 1.0 / (1.0 + np.exp(-s[positive]))
+            e = np.exp(s[~positive])
+            out[~positive] = e / (1.0 + e)
+            return out
+
+        rng = np.random.default_rng(21)
+        for shape, scale in (((287, 37), 30.0), ((230, 1), 5.0), ((7,), 800.0)):
+            s = rng.uniform(-scale, scale, shape)
+            np.testing.assert_array_equal(sigmoid(s), reference(s))
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
+        np.testing.assert_array_equal(sigmoid(edges), reference(edges))
+
 
 class TestForward:
     def test_all_zero_params(self):

@@ -218,6 +218,15 @@ class TestTrainBpMlp:
         assert model.train_mse == pytest.approx(
             mse_fitness(model.params, XOR), abs=1e-12)
 
+    def test_one_forward_pass_per_epoch(self, monkeypatch):
+        from fdo_mlp import mlp, training
+        calls = []
+        real = mlp._forward_pass
+        monkeypatch.setattr(training, "_forward_pass",
+                            lambda *args: calls.append(1) or real(*args))
+        train_bp_mlp(XOR, MlpTopology(2, 3, 1), 0.5, 12, np.random.default_rng(3))
+        assert len(calls) == 12 + 1  # every epoch plus the initial weights
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_names_epoch(self):
