@@ -8,20 +8,19 @@ cross-validation (:mod:`fdo_mlp.evaluation`), dataset utilities
 (:mod:`fdo_mlp.data`) and a command-line front end (:mod:`fdo_mlp.cli`).
 """
 
-from .benchmarks import BenchmarkFunction, get_benchmark, rastrigin, rosenbrock, sphere
+from .benchmarks import get_benchmark, rastrigin, rosenbrock, sphere
 from .data import (LabeledDataset, generate_synthetic, holdout_split, load_csv,
                    min_max_normalize, normalize_with, save_csv, select_features)
-from .evaluation import (ConfusionMatrix, FoldAssignment, MetricsReport, auc,
-                         classification_rate, confusion_matrix, cross_validate,
-                         kfold_splits, metrics, per_class_success)
-from .fdo import (ConvergenceCurve, EvaluationError, FdoConfig, OptimizationResult,
-                  ScoutBee, clamp_to_bounds, compute_pace, fitness_weight,
-                  initialize_swarm, optimize, step, uniform_bounds)
+from .evaluation import (ConfusionMatrix, auc, classification_rate, confusion_matrix,
+                         cross_validate, kfold_splits, metrics, per_class_success)
+from .fdo import (ConvergenceCurve, EvaluationError, FdoConfig, Swarm, clamp_to_bounds,
+                  compute_pace, fitness_weight, initialize_swarm, optimize, step,
+                  uniform_bounds)
 from .mlp import (MlpParams, MlpTopology, decode, encode, forward, forward_batch,
                   hidden_size_rule, load_params, predict_class, save_params,
                   sigmoid, vector_dimension)
-from .training import (TRAINING_PRESETS, BpConfig, RunStatistics, TrainedModel,
-                       TrainingConfig, make_objective, mse_fitness, mse_gradient,
-                       run_statistics, train_bp_mlp, train_fdo_mlp)
+from .training import (TRAINING_PRESETS, TrainedModel, TrainingConfig, make_objective,
+                       mse_fitness, mse_gradient, run_statistics, train_bp_mlp,
+                       train_fdo_mlp)
 
 __version__ = "0.1.0"

@@ -10,19 +10,29 @@ that the scout keeps its current state. The global best is replaced only by
 a strictly better solution, so the recorded convergence curve never
 increases.
 
-The objective is treated as a black box ``vector -> float``. Within one
-iteration evaluations are independent of each other (the global best used
-for pace computation is the snapshot taken at the start of the iteration,
-and every scout consumes exactly ``dimension`` random draws), so a pure
-objective may be evaluated concurrently without changing results as long as
-draws are generated in ascending scout order and accept/reject outcomes are
-merged the same way. The implementation here runs the equivalent sequential
-schedule.
+The swarm is held as arrays with one row per scout (:class:`Swarm`), and
+each iteration runs in two batched phases. First every scout's pace is
+computed from one ``(population, dimension)`` block of draws and the global
+best as of the start of the iteration, and every first proposal is
+evaluated in scout order. Then the stored pace is retried for the rejected
+scouts only, again in scout order. Finally the global best is refreshed.
+
+The objective is treated as a black box ``vector -> float`` and is called
+one row at a time. No scout's proposal depends on another scout's outcome
+within an iteration, so the two-phase schedule gives exactly the results,
+random stream and evaluation count of moving the scouts one after another
+(proposal, then retry, then the next scout). Only the order of the calls
+within an iteration differs from that schedule (all first proposals, then
+the retries), which an impure objective alone can notice. The rows passed
+in are views into the swarm's arrays: an objective must neither modify nor
+keep them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,13 +61,18 @@ class EvaluationError(RuntimeError):
 
 
 @dataclass(eq=False)
-class ScoutBee:
-    """One search agent: a position, its cached objective value, and the
-    displacement behind its last accepted move (zero until the first one)."""
+class Swarm:
+    """Every scout as one row of ``positions`` ``(P, d)``, with its cached
+    objective value in ``fitness`` ``(P,)`` and the displacement behind its
+    last accepted move in ``last_pace`` ``(P, d)`` (zero until the first
+    one), plus the global best found so far as a position ``(d,)`` owned by
+    the swarm and its objective value."""
 
-    position: np.ndarray
-    fitness: float
+    positions: np.ndarray
+    fitness: np.ndarray
     last_pace: np.ndarray
+    best_position: np.ndarray
+    best_fitness: float
 
 
 @dataclass(frozen=True)
@@ -105,9 +120,12 @@ class FdoConfig:
     def dimension(self) -> int:
         return len(self.bounds)
 
-    def bound_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.asarray(self.bounds, dtype=float)
-        return arr[:, 0], arr[:, 1]
+    @cached_property
+    def _box(self) -> np.ndarray:
+        """The bounds as a read-only ``(d, 2)`` array, built once."""
+        box = np.array(self.bounds, dtype=float)
+        box.flags.writeable = False
+        return box
 
 
 @dataclass(frozen=True)
@@ -140,116 +158,137 @@ def uniform_bounds(lower: float, upper: float, dimension: int) -> tuple[tuple[fl
 
 
 def clamp_to_bounds(position: np.ndarray,
-                    bounds: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Project every component of ``position`` into its [lower, upper] range."""
+                    bounds: Sequence[tuple[float, float]] | np.ndarray) -> np.ndarray:
+    """Project every component of a ``(d,)`` position, or of every row of a
+    ``(k, d)`` matrix of positions, into its [lower, upper] range."""
     position = np.asarray(position, dtype=float)
-    arr = np.asarray(bounds, dtype=float)
-    if position.shape != (arr.shape[0],):
-        raise ValueError(
-            f"position has {position.shape[0]} components but bounds cover {arr.shape[0]}")
-    return np.clip(position, arr[:, 0], arr[:, 1])
+    box = np.asarray(bounds, dtype=float)
+    d = box.shape[0]
+    if position.ndim not in (1, 2) or position.shape[-1] != d:
+        raise ValueError(f"position has shape {position.shape} but bounds cover "
+                         f"{d} dimensions: expected ({d},) or (k, {d})")
+    return np.clip(position, box[:, 0], box[:, 1])
 
 
-def fitness_weight(current_fitness: float, global_best_fitness: float,
-                   wf: float) -> float | None:
-    """Fitness weight fw = |global best / current| - wf.
+def fitness_weight(fitness: np.ndarray | float, global_best_fitness: float,
+                   wf: float) -> np.ndarray:
+    """Fitness weight fw = |global best / fitness| - wf, per scout.
 
-    Returns ``None`` when the current fitness is exactly zero: the ratio is
-    undefined there and the caller must fall back to the random-pace rule.
+    A zero fitness gives inf (or NaN when the global best is zero too).
+    Both lie outside the open interval (0, 1), so such a scout takes the
+    random-pace rule of :func:`compute_pace`; no warning is raised.
     """
-    if current_fitness == 0.0:
-        return None
-    return abs(global_best_fitness / current_fitness) - wf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(global_best_fitness / np.asarray(fitness, dtype=float)) - wf
 
 
-def compute_pace(scout: ScoutBee, global_best: ScoutBee,
-                 fw: float | None, rng: np.random.Generator) -> np.ndarray:
-    """Displacement for one scout given its fitness weight.
+def compute_pace(positions: np.ndarray, best_position: np.ndarray,
+                 fw: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Displacement of every scout (row) given its fitness weight.
 
-    Draws one fresh r in [-1, 1] per dimension. For fw outside the open
-    interval (0, 1), or the ``None`` sentinel, the pace is the scout's own
-    position scaled componentwise by r. Otherwise each component moves
-    toward the global best (r < 0) or away from it (r >= 0) by fw times the
-    distance along that axis.
+    ``r`` holds one draw in [-1, 1] per scout and dimension. For fw outside
+    the open interval (0, 1) the pace is the scout's own position scaled
+    componentwise by r. Otherwise each component moves toward the global
+    best (r < 0) or away from it (r >= 0) by fw times the distance along
+    that axis.
     """
-    if scout.position.shape != global_best.position.shape:
-        raise ValueError("scout and global best have different dimensions")
-    r = rng.uniform(-1.0, 1.0, scout.position.shape[0])
-    if fw is None or not 0.0 < fw < 1.0:
-        return scout.position * r
-    diff = (scout.position - global_best.position) * fw
-    return np.where(r < 0.0, -diff, diff)
+    if positions.shape[1:] != best_position.shape:
+        raise ValueError("scouts and global best have different dimensions")
+    toward = (0.0 < fw) & (fw < 1.0)
+    pace = positions - best_position
+    # Random-rule rows are overwritten below; a zero factor keeps their
+    # inf or NaN fw out of the arithmetic.
+    pace *= np.where(toward, fw, 0.0)[:, None]
+    np.negative(pace, out=pace, where=r < 0.0)
+    np.multiply(positions, r, out=pace, where=~toward[:, None])
+    return pace
 
 
 def _evaluate(objective: Objective, position: np.ndarray) -> float:
     value = float(objective(position))
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise EvaluationError(
             f"objective returned non-finite value {value!r}",
             position=position.copy())
     return value
 
 
-def _snapshot(scout: ScoutBee) -> ScoutBee:
-    return ScoutBee(scout.position.copy(), scout.fitness, scout.last_pace.copy())
+def _evaluate_rows(objective: Objective, rows: np.ndarray) -> np.ndarray:
+    """Objective value of every row, evaluated in row order."""
+    return np.array([_evaluate(objective, row) for row in rows])
+
+
+def _refresh_best(swarm: Swarm) -> None:
+    """Replace the global best by the first scout strictly better than it."""
+    i = int(np.argmin(swarm.fitness))
+    if swarm.fitness[i] < swarm.best_fitness:
+        swarm.best_position = swarm.positions[i].copy()
+        swarm.best_fitness = float(swarm.fitness[i])
 
 
 def initialize_swarm(config: FdoConfig, objective: Objective,
-                     rng: np.random.Generator) -> tuple[list[ScoutBee], ScoutBee]:
+                     rng: np.random.Generator) -> Swarm:
     """Sample the initial population uniformly inside the box.
 
     Every scout's fitness is evaluated and its stored pace starts at zero.
-    Returns the swarm together with a snapshot of the best scout.
+    The global best is the first scout with the lowest fitness.
     """
-    lower, upper = config.bound_arrays()
-    swarm: list[ScoutBee] = []
-    for _ in range(config.population):
-        position = rng.uniform(lower, upper)
-        value = _evaluate(objective, position)
-        swarm.append(ScoutBee(position, value, np.zeros(config.dimension)))
-    best = swarm[0]
-    for scout in swarm[1:]:
-        if scout.fitness < best.fitness:
-            best = scout
-    return swarm, _snapshot(best)
+    box = config._box
+    shape = (config.population, config.dimension)
+    positions = rng.uniform(box[:, 0], box[:, 1], shape)
+    fitness = _evaluate_rows(objective, positions)
+    swarm = Swarm(positions, fitness, np.zeros(shape), positions[0].copy(),
+                  float(fitness[0]))
+    _refresh_best(swarm)
+    return swarm
 
 
-def step(swarm: list[ScoutBee], global_best: ScoutBee, objective: Objective,
-         config: FdoConfig, rng: np.random.Generator) -> tuple[list[ScoutBee], ScoutBee, float]:
+def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Phase one: every scout proposes position + pace and keeps it, with
+    its pace, on strict improvement. Returns the rejected scouts' indices."""
+    fw = fitness_weight(swarm.fitness, swarm.best_fitness, config.weight_factor)
+    pace = compute_pace(swarm.positions, swarm.best_position, fw,
+                        rng.uniform(-1.0, 1.0, swarm.positions.shape))
+    candidates = clamp_to_bounds(swarm.positions + pace, config._box)
+    values = _evaluate_rows(objective, candidates)
+    accepted = values < swarm.fitness
+    rows = accepted[:, None]
+    np.copyto(swarm.positions, candidates, where=rows)
+    np.copyto(swarm.last_pace, pace, where=rows)
+    np.copyto(swarm.fitness, values, where=accepted)
+    return np.flatnonzero(~accepted)
+
+
+def _retries(swarm: Swarm, objective: Objective, config: FdoConfig,
+             rejected: np.ndarray) -> None:
+    """Phase two: each rejected scout retries its stored pace and moves on
+    strict improvement; the pace in use is the stored one, so it stays."""
+    retries = clamp_to_bounds(
+        swarm.positions[rejected] + swarm.last_pace[rejected], config._box)
+    values = _evaluate_rows(objective, retries)
+    better = values < swarm.fitness[rejected]
+    moved = rejected[better]
+    swarm.positions[moved] = retries[better]
+    swarm.fitness[moved] = values[better]
+
+
+def step(swarm: Swarm, objective: Objective, config: FdoConfig,
+         rng: np.random.Generator) -> int:
     """Advance every scout by one move attempt and refresh the global best.
 
     Per scout: propose position + pace and accept it only on strict
     improvement, storing the pace for reuse; on rejection retry the stored
-    pace; on a second rejection the scout keeps its state. Pace computation
-    uses the global best as of the start of the iteration; the global best
-    itself is refreshed only after all scouts have moved, and ties keep the
-    incumbent.
+    pace; on a second rejection the scout keeps its state. Paces use the
+    global best as of the start of the iteration; the global best itself is
+    refreshed only after all scouts have moved, and ties keep the incumbent.
+    The swarm is updated in place; returns the number of evaluations made.
     """
-    lower, upper = config.bound_arrays()
-    wf = config.weight_factor
-    for scout in swarm:
-        fw = fitness_weight(scout.fitness, global_best.fitness, wf)
-        pace = compute_pace(scout, global_best, fw, rng)
-        candidate = np.clip(scout.position + pace, lower, upper)
-        value = _evaluate(objective, candidate)
-        if value < scout.fitness:
-            scout.position = candidate
-            scout.fitness = value
-            scout.last_pace = pace
-            continue
-        retry = np.clip(scout.position + scout.last_pace, lower, upper)
-        value = _evaluate(objective, retry)
-        if value < scout.fitness:
-            # The pace in use is the stored one, so it stays stored.
-            scout.position = retry
-            scout.fitness = value
-    best = global_best
-    for scout in swarm:
-        if scout.fitness < best.fitness:
-            best = scout
-    if best is not global_best:
-        best = _snapshot(best)
-    return swarm, best, best.fitness
+    rejected = _first_proposals(swarm, objective, config, rng)
+    if rejected.size:
+        _retries(swarm, objective, config, rejected)
+    _refresh_best(swarm)
+    return len(swarm.fitness) + rejected.size
 
 
 def optimize(objective: Objective, config: FdoConfig,
@@ -264,26 +303,20 @@ def optimize(objective: Objective, config: FdoConfig,
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    calls = 0
-
-    def counted(x: np.ndarray) -> float:
-        nonlocal calls
-        calls += 1
-        return objective(x)
-
-    swarm, best = initialize_swarm(config, counted, rng)
+    swarm = initialize_swarm(config, objective, rng)
+    evaluations = config.population
     values: list[float] = []
     for iteration in range(config.max_iterations):
         try:
-            swarm, best, _ = step(swarm, best, counted, config, rng)
+            evaluations += step(swarm, objective, config, rng)
         except EvaluationError as err:
             err.iteration = iteration
             raise
-        values.append(best.fitness)
+        values.append(swarm.best_fitness)
     return OptimizationResult(
-        best_position=best.position.copy(),
-        best_fitness=best.fitness,
+        best_position=swarm.best_position.copy(),
+        best_fitness=swarm.best_fitness,
         curve=ConvergenceCurve(tuple(values)),
         iterations_run=len(values),
-        evaluations=calls,
+        evaluations=evaluations,
     )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fdo_mlp.fdo import (ConvergenceCurve, EvaluationError, FdoConfig, ScoutBee,
+from fdo_mlp.fdo import (ConvergenceCurve, EvaluationError, FdoConfig, Swarm,
                          clamp_to_bounds, compute_pace, fitness_weight,
                          initialize_swarm, optimize, step, uniform_bounds)
 
@@ -20,9 +20,70 @@ class FakeRng:
 
     def uniform(self, low, high, size=None):
         value = np.asarray(self.draws.pop(0), dtype=float)
-        if size is not None and value.shape != (size,):
-            raise AssertionError(f"expected {size} draws, stub has {value.shape}")
+        if size is not None:
+            expected = (size,) if isinstance(size, int) else tuple(size)
+            if value.shape != expected:
+                raise AssertionError(f"expected {expected} draws, stub has {value.shape}")
         return value
+
+
+class RecordingRng:
+    """A real generator that records the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def uniform(self, low, high, size=None):
+        self.sizes.append(size)
+        return self.rng.uniform(low, high, size)
+
+
+def one_scout(position, fitness, best_position, best_fitness, last_pace=None):
+    position = np.array([position], dtype=float)
+    pace = np.zeros_like(position) if last_pace is None else np.array([last_pace], dtype=float)
+    return Swarm(position, np.array([fitness], dtype=float), pace,
+                 np.array(best_position, dtype=float), best_fitness)
+
+
+def reference_optimize(objective, config):
+    """The per-scout sequential schedule the batched step must reproduce:
+    each scout draws its own r, proposes, and retries before the next one."""
+    rng = np.random.default_rng(config.seed)
+    lower, upper = np.asarray(config.bounds).T
+    positions, fitness, paces = [], [], []
+    for _ in range(config.population):
+        positions.append(rng.uniform(lower, upper))
+        fitness.append(float(objective(positions[-1])))
+        paces.append(np.zeros(config.dimension))
+    b = int(np.argmin(fitness))
+    best, best_fitness = positions[b].copy(), fitness[b]
+    curve, evaluations = [], config.population
+    for _ in range(config.max_iterations):
+        for i in range(config.population):
+            fw = None if fitness[i] == 0.0 else abs(best_fitness / fitness[i]) - config.weight_factor
+            r = rng.uniform(-1.0, 1.0, config.dimension)
+            if fw is None or not 0.0 < fw < 1.0:
+                pace = positions[i] * r
+            else:
+                diff = (positions[i] - best) * fw
+                pace = np.where(r < 0.0, -diff, diff)
+            candidate = np.clip(positions[i] + pace, lower, upper)
+            value = float(objective(candidate))
+            evaluations += 1
+            if value < fitness[i]:
+                positions[i], fitness[i], paces[i] = candidate, value, pace
+                continue
+            retry = np.clip(positions[i] + paces[i], lower, upper)
+            value = float(objective(retry))
+            evaluations += 1
+            if value < fitness[i]:
+                positions[i], fitness[i] = retry, value
+        for i in range(config.population):
+            if fitness[i] < best_fitness:
+                best, best_fitness = positions[i].copy(), fitness[i]
+        curve.append(best_fitness)
+    return curve, best, best_fitness, evaluations
 
 
 class TestFdoConfig:
@@ -65,6 +126,26 @@ class TestClamp:
         with pytest.raises(ValueError):
             clamp_to_bounds([1.0, 2.0], [(-1, 1)])
 
+    def test_matrix_clamps_every_row(self):
+        clamped = clamp_to_bounds([[5.0, -5.0], [0.5, 2.0], [-2.0, 0.0]],
+                                  [(-1, 1), (-3, 1)])
+        np.testing.assert_array_equal(clamped, [[1.0, -3.0], [0.5, 1.0], [-1.0, 0.0]])
+
+    def test_one_by_one_matrix_is_one_row(self):
+        np.testing.assert_array_equal(clamp_to_bounds([[5.0]], [(-1, 1)]), [[1.0]])
+
+    def test_scalar_rejected_with_its_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(\)"):
+            clamp_to_bounds(5.0, [(-1, 1)])
+
+    def test_three_dimensional_rejected_with_its_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 1\)"):
+            clamp_to_bounds(np.zeros((2, 2, 1)), [(-1, 1)])
+
+    def test_matrix_width_mismatch_names_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
+            clamp_to_bounds(np.zeros((3, 2)), [(-1, 1)])
+
 
 class TestFitnessWeight:
     def test_equal_fitnesses_give_one(self):
@@ -73,77 +154,102 @@ class TestFitnessWeight:
     def test_ratio(self):
         assert fitness_weight(10.0, 1.0, 0.0) == pytest.approx(0.1)
 
-    def test_zero_current_returns_sentinel(self):
-        assert fitness_weight(0.0, 1.0, 0.0) is None
+    def test_zero_current_takes_random_branch(self):
+        """A zero fitness gives a weight outside (0, 1) (inf, or NaN when the
+        best is zero too), so the pace is the position scaled by r."""
+        fw = fitness_weight(np.array([0.0, 0.0]), 1.0, 0.0)
+        assert np.isinf(fw).all()
+        assert np.isnan(fitness_weight(0.0, 0.0, 0.0))
+        positions = np.array([[2.0, -3.0], [1.0, 4.0]])
+        r = np.array([[0.5, -0.5], [-0.25, 1.0]])
+        for weights in (fw, fitness_weight(np.zeros(2), 0.0, 0.0)):
+            pace = compute_pace(positions, np.zeros(2), weights, r)
+            np.testing.assert_array_equal(pace, positions * r)
 
     def test_weight_factor_subtracts(self):
         assert fitness_weight(2.0, 1.0, 0.25) == pytest.approx(0.25)
+
+    def test_batch_matches_scalar_rule(self):
+        fitness = np.array([4.0, -2.0, 1e-300, 7.5])
+        fw = fitness_weight(fitness, 1.5, 0.3)
+        assert fw.tolist() == [abs(1.5 / f) - 0.3 for f in fitness.tolist()]
 
 
 class TestComputePace:
     def test_random_pace_branch(self):
         # fw == 1 routes to the multiplicative rule with per-dimension r.
-        scout = ScoutBee(np.array([2.0, -3.0]), 1.0, np.zeros(2))
-        best = ScoutBee(np.array([0.0, 0.0]), 1.0, np.zeros(2))
-        pace = compute_pace(scout, best, 1.0, FakeRng([[0.5, -0.5]]))
-        np.testing.assert_allclose(pace, [1.0, 1.5])
+        pace = compute_pace(np.array([[2.0, -3.0]]), np.array([0.0, 0.0]),
+                            np.array([1.0]), np.array([[0.5, -0.5]]))
+        np.testing.assert_allclose(pace, [[1.0, 1.5]])
 
     def test_toward_best_branch(self):
-        scout = ScoutBee(np.array([4.0]), 4.0, np.zeros(1))
-        best = ScoutBee(np.array([2.0]), 1.0, np.zeros(1))
-        pace = compute_pace(scout, best, 0.5, FakeRng([[-0.3]]))
-        np.testing.assert_allclose(pace, [-1.0])
+        pace = compute_pace(np.array([[4.0]]), np.array([2.0]),
+                            np.array([0.5]), np.array([[-0.3]]))
+        np.testing.assert_allclose(pace, [[-1.0]])
 
     def test_away_from_best_branch(self):
-        scout = ScoutBee(np.array([4.0]), 4.0, np.zeros(1))
-        best = ScoutBee(np.array([2.0]), 1.0, np.zeros(1))
-        pace = compute_pace(scout, best, 0.5, FakeRng([[0.3]]))
-        np.testing.assert_allclose(pace, [1.0])
+        pace = compute_pace(np.array([[4.0]]), np.array([2.0]),
+                            np.array([0.5]), np.array([[0.3]]))
+        np.testing.assert_allclose(pace, [[1.0]])
 
     def test_dimension_mismatch(self):
-        scout = ScoutBee(np.array([1.0, 2.0]), 1.0, np.zeros(2))
-        best = ScoutBee(np.array([1.0]), 1.0, np.zeros(1))
         with pytest.raises(ValueError):
-            compute_pace(scout, best, 0.5, FakeRng([[0.1, 0.2]]))
+            compute_pace(np.array([[1.0, 2.0]]), np.array([1.0]),
+                         np.array([0.5]), np.array([[0.1, 0.2]]))
 
     def test_branch_totality_fuzz(self):
-        """Every fw in [0, inf) and the sentinel produce a finite pace."""
+        """Every fw in [0, inf), inf and NaN produce a finite pace; each row
+        follows its own branch inside one batch."""
         rng = np.random.default_rng(7)
-        scout = ScoutBee(np.array([1.5, -2.0, 0.5]), 3.0, np.zeros(3))
-        best = ScoutBee(np.array([0.5, 0.5, 0.5]), 1.0, np.zeros(3))
-        fws = [None, 0.0, 1.0, 1.0 + 1e-12] + list(rng.uniform(0, 10, 200))
-        for fw in fws:
-            pace = compute_pace(scout, best, fw, np.random.default_rng(1))
-            assert pace.shape == (3,)
-            assert np.isfinite(pace).all()
-            if fw is not None and not 0.0 < fw < 1.0:
-                expected = scout.position * np.random.default_rng(1).uniform(-1, 1, 3)
-                np.testing.assert_allclose(pace, expected)
+        position = np.array([1.5, -2.0, 0.5])
+        best = np.array([0.5, 0.5, 0.5])
+        fws = np.array([np.nan, np.inf, 0.0, 1.0, 1.0 + 1e-12]
+                       + list(rng.uniform(0, 10, 200)))
+        positions = np.tile(position, (fws.size, 1))
+        r = np.random.default_rng(1).uniform(-1, 1, positions.shape)
+        pace = compute_pace(positions, best, fws, r)
+        assert pace.shape == positions.shape
+        assert np.isfinite(pace).all()
+        for fw, row, draws in zip(fws, pace, r):
+            if not 0.0 < fw < 1.0:
+                expected = position * draws
+            else:
+                diff = (position - best) * fw
+                expected = np.where(draws < 0.0, -diff, diff)
+            np.testing.assert_array_equal(row, expected)
 
 
 class TestInitializeSwarm:
     def test_degenerate_box_forces_single_point(self):
         config = FdoConfig(bounds=((0.0, 0.0),), population=5, seed=123)
-        swarm, best = initialize_swarm(config, sphere, np.random.default_rng(123))
-        for scout in swarm:
-            np.testing.assert_array_equal(scout.position, [0.0])
-            np.testing.assert_array_equal(scout.last_pace, [0.0])
-        assert best.fitness == 0.0
+        swarm = initialize_swarm(config, sphere, np.random.default_rng(123))
+        np.testing.assert_array_equal(swarm.positions, np.zeros((5, 1)))
+        np.testing.assert_array_equal(swarm.last_pace, np.zeros((5, 1)))
+        assert swarm.best_fitness == 0.0
 
     def test_uniform_sampling_respects_bounds(self):
         config = FdoConfig(bounds=uniform_bounds(-1, 1, 2), population=30)
-        swarm, _ = initialize_swarm(config, sphere, np.random.default_rng(5))
-        positions = np.array([s.position for s in swarm])
-        assert positions.shape == (30, 2)
-        assert (positions >= -1).all() and (positions <= 1).all()
+        swarm = initialize_swarm(config, sphere, np.random.default_rng(5))
+        assert swarm.positions.shape == (30, 2)
+        assert swarm.fitness.shape == (30,)
+        assert (swarm.positions >= -1).all() and (swarm.positions <= 1).all()
 
     def test_same_seed_gives_identical_swarm(self):
         config = FdoConfig(bounds=uniform_bounds(-3, 3, 4), population=10)
-        one, _ = initialize_swarm(config, sphere, np.random.default_rng(42))
-        two, _ = initialize_swarm(config, sphere, np.random.default_rng(42))
-        for a, b in zip(one, two):
-            np.testing.assert_array_equal(a.position, b.position)
-            assert a.fitness == b.fitness
+        one = initialize_swarm(config, sphere, np.random.default_rng(42))
+        two = initialize_swarm(config, sphere, np.random.default_rng(42))
+        np.testing.assert_array_equal(one.positions, two.positions)
+        np.testing.assert_array_equal(one.fitness, two.fitness)
+
+    def test_best_is_first_lowest_and_owned(self):
+        config = FdoConfig(bounds=uniform_bounds(-3, 3, 2), population=6)
+        values = iter([5.0, 1.0, 3.0, 1.0, 2.0, 1.0])
+        swarm = initialize_swarm(config, lambda x: next(values),
+                                 np.random.default_rng(3))
+        np.testing.assert_array_equal(swarm.best_position, swarm.positions[1])
+        assert swarm.best_fitness == 1.0 and type(swarm.best_fitness) is float
+        swarm.positions[1] += 1.0
+        assert not np.array_equal(swarm.best_position, swarm.positions[1])
 
     def test_non_finite_objective_raises_with_position(self):
         config = FdoConfig(bounds=uniform_bounds(-1, 1, 2), population=3)
@@ -157,8 +263,7 @@ class TestStep:
     def test_hand_traced_rejection(self):
         """Worse candidate, then a no-op stored-pace retry: scout must stay."""
         config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
-        scout = ScoutBee(np.array([2.0]), 4.0, np.zeros(1))
-        best = ScoutBee(np.array([1.0]), 1.0, np.zeros(1))
+        swarm = one_scout([2.0], 4.0, [1.0], 1.0)
         calls = []
 
         def traced(x):
@@ -168,52 +273,145 @@ class TestStep:
         # fw = |1/4| = 0.25, r = 0.5 >= 0 -> pace 0.25 * (2 - 1) = 0.25;
         # candidate 2.25 has fitness 5.0625 > 4 -> rejected; stored zero pace
         # retries x = 2 with fitness 4, not a strict improvement -> stay.
-        step([scout], best, traced, config, FakeRng([[0.5]]))
+        assert step(swarm, traced, config, FakeRng([[[0.5]]])) == 2
         assert calls == [2.25, 2.0]
-        np.testing.assert_array_equal(scout.position, [2.0])
-        assert scout.fitness == 4.0
-        np.testing.assert_array_equal(scout.last_pace, [0.0])
+        np.testing.assert_array_equal(swarm.positions, [[2.0]])
+        assert swarm.fitness.tolist() == [4.0]
+        np.testing.assert_array_equal(swarm.last_pace, [[0.0]])
+
+    def test_retry_tie_keeps_scout(self):
+        """A retry that only matches the scout's fitness is not a move."""
+        config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
+        swarm = one_scout([2.0], 4.0, [1.0], 1.0, last_pace=[-4.0])
+        calls = []
+
+        def traced(x):
+            calls.append(float(x[0]))
+            return sphere(x)
+
+        # Proposal 2.25 as above is rejected; the retry 2 - 4 = -2 ties at 4.
+        step(swarm, traced, config, FakeRng([[[0.5]]]))
+        assert calls == [2.25, -2.0]
+        np.testing.assert_array_equal(swarm.positions, [[2.0]])
+        np.testing.assert_array_equal(swarm.last_pace, [[-4.0]])
+
+    def test_tie_with_global_best_keeps_incumbent(self):
+        config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
+        swarm = one_scout([-1.0], 1.0, [1.0], 1.0)
+        # fw = 1 -> random pace -1 * 0.5: candidate -1.5 rejected, the zero
+        # retry keeps -1, whose fitness ties with the best at +1.
+        step(swarm, sphere, config, FakeRng([[[0.5]]]))
+        np.testing.assert_array_equal(swarm.best_position, [1.0])
+        assert swarm.best_fitness == 1.0
 
     def test_accepted_move_stores_pace(self):
         config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
-        scout = ScoutBee(np.array([4.0]), 16.0, np.zeros(1))
-        best = ScoutBee(np.array([1.0]), 1.0, np.zeros(1))
+        swarm = one_scout([4.0], 16.0, [1.0], 1.0)
         # fw = 1/16; r < 0 moves toward best: pace = -(4-1)/16 = -0.1875.
-        step([scout], best, sphere, config, FakeRng([[-0.9]]))
-        np.testing.assert_allclose(scout.position, [3.8125])
-        np.testing.assert_allclose(scout.fitness, 3.8125 ** 2)
-        np.testing.assert_allclose(scout.last_pace, [-0.1875])
+        assert step(swarm, sphere, config, FakeRng([[[-0.9]]])) == 1
+        np.testing.assert_allclose(swarm.positions, [[3.8125]])
+        np.testing.assert_allclose(swarm.fitness, [3.8125 ** 2])
+        np.testing.assert_allclose(swarm.last_pace, [[-0.1875]])
 
     def test_no_scout_fitness_increases(self):
         """Acceptance safety over many random steps."""
         config = FdoConfig(bounds=uniform_bounds(-5, 5, 4), population=12, seed=9)
         rng = np.random.default_rng(9)
-        swarm, best = initialize_swarm(config, sphere, rng)
+        swarm = initialize_swarm(config, sphere, rng)
         for _ in range(30):
-            before = [s.fitness for s in swarm]
-            swarm, best, _ = step(swarm, best, sphere, config, rng)
-            for prev, scout in zip(before, swarm):
-                assert scout.fitness <= prev
+            before = swarm.fitness.copy()
+            step(swarm, sphere, config, rng)
+            assert (swarm.fitness <= before).all()
 
     def test_positions_stay_in_box(self):
         config = FdoConfig(bounds=uniform_bounds(-0.5, 0.5, 3), population=8, seed=2)
         rng = np.random.default_rng(2)
-        swarm, best = initialize_swarm(config, sphere, rng)
+        swarm = initialize_swarm(config, sphere, rng)
         for _ in range(25):
-            swarm, best, _ = step(swarm, best, sphere, config, rng)
-            for scout in swarm:
-                assert (scout.position >= -0.5).all()
-                assert (scout.position <= 0.5).all()
+            step(swarm, sphere, config, rng)
+            assert (swarm.positions >= -0.5).all()
+            assert (swarm.positions <= 0.5).all()
 
     def test_global_best_never_worsens(self):
         config = FdoConfig(bounds=uniform_bounds(-5, 5, 3), population=10, seed=4)
         rng = np.random.default_rng(4)
-        swarm, best = initialize_swarm(config, sphere, rng)
+        swarm = initialize_swarm(config, sphere, rng)
         for _ in range(20):
-            previous = best.fitness
-            swarm, best, after = step(swarm, best, sphere, config, rng)
-            assert after <= previous
-            assert after == best.fitness
+            previous = swarm.best_fitness
+            step(swarm, sphere, config, rng)
+            assert swarm.best_fitness <= previous
+            assert swarm.best_fitness <= swarm.fitness.min()
+
+    def test_one_draw_block_and_one_retry_per_rejection(self):
+        """An iteration draws one (P, d) block, evaluates every first
+        proposal, then retries exactly the scouts whose proposal was rejected."""
+        config = FdoConfig(bounds=uniform_bounds(-5, 5, 3), population=9, seed=6)
+        swarm = initialize_swarm(config, sphere, np.random.default_rng(6))
+        rng = RecordingRng(60)
+        retried = 0
+        for _ in range(5):
+            before = swarm.fitness.copy()
+            calls = []
+
+            def traced(x):
+                calls.append(sphere(x))
+                return calls[-1]
+
+            rng.sizes.clear()
+            made = step(swarm, traced, config, rng)
+            assert rng.sizes == [(9, 3)]
+            rejected = int(np.sum(np.array(calls[:9]) >= before))
+            assert made == len(calls) == 9 + rejected
+            retried += rejected
+        assert retried > 0
+
+    def test_retry_phase_error_carries_position_and_iteration(self):
+        """Iteration 0 accepts a move of pace -1 (to x = 1); iteration 1
+        rejects its proposal and the retry x = 1 + (-1) = 0 is non-finite."""
+        config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1,
+                           max_iterations=5)
+        calls = []
+
+        def objective(x):
+            calls.append(float(x[0]))
+            return float("inf") if x[0] == 0.0 else sphere(x)
+
+        # fw = |4/4| = 1 -> random pace 2 * -0.5 = -1; then 1 * 0.5 = 0.5.
+        rng = FakeRng([[[2.0]], [[-0.5]], [[0.5]]])
+        with pytest.raises(EvaluationError) as excinfo:
+            optimize(objective, config, rng)
+        assert calls == [2.0, 1.0, 1.5, 0.0]
+        np.testing.assert_array_equal(excinfo.value.position, [0.0])
+        assert excinfo.value.iteration == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_fitness_swarm_steps_without_warnings(self):
+        config = FdoConfig(bounds=((0.0, 0.0), (-1.0, 1.0)), population=4, seed=1)
+        swarm = Swarm(np.zeros((4, 2)), np.zeros(4), np.zeros((4, 2)),
+                      np.zeros(2), 0.0)
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            assert step(swarm, sphere, config, rng) == 8
+        np.testing.assert_array_equal(swarm.positions, np.zeros((4, 2)))
+        # Zero and non-zero fitness side by side, with a zero global best.
+        swarm = Swarm(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, -0.5]]),
+                      np.array([0.0, 1.0, 0.0, 0.25]), np.zeros((4, 2)),
+                      np.zeros(2), 0.0)
+        step(swarm, sphere, config, rng)
+        assert swarm.best_fitness == 0.0
+
+    def test_batched_schedule_matches_per_scout_reference(self):
+        cases = [(sphere, (-100, 100), 10, 12, 0.0, 0), (sphere, (-3, 3), 3, 1, 0.0, 5),
+                 (lambda x: float(np.sum(np.floor(np.abs(x)))), (-3, 3), 2, 6, 0.2, 6)]
+        for objective, (lo, hi), d, population, wf, seed in cases:
+            config = FdoConfig(bounds=uniform_bounds(lo, hi, d), population=population,
+                               max_iterations=40, weight_factor=wf, seed=seed)
+            result = optimize(objective, config)
+            curve, best, best_fitness, evaluations = reference_optimize(objective, config)
+            assert list(result.curve.values) == curve
+            assert result.best_position.tobytes() == best.tobytes()
+            assert result.best_fitness == best_fitness
+            assert result.evaluations == evaluations
 
 
 class TestOptimize:
@@ -221,9 +419,9 @@ class TestOptimize:
         config = FdoConfig(bounds=uniform_bounds(-5, 5, 3), population=10,
                            max_iterations=0, seed=11)
         result = optimize(sphere, config)
-        swarm, best = initialize_swarm(config, sphere, np.random.default_rng(11))
-        assert result.best_fitness == best.fitness
-        np.testing.assert_array_equal(result.best_position, best.position)
+        swarm = initialize_swarm(config, sphere, np.random.default_rng(11))
+        assert result.best_fitness == swarm.best_fitness
+        np.testing.assert_array_equal(result.best_position, swarm.best_position)
         assert result.curve.values == ()
         assert result.iterations_run == 0
         assert result.evaluations == 10

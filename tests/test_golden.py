@@ -3,6 +3,9 @@
 Each test replays a seeded run and compares its curve (as the sha256 of the
 ``repr`` of every value, one per line) and its best value (as ``repr``)
 with figures recorded before the forward and scoring paths were merged.
+The optimizer runs after those (weight factors, a single scout, zero
+fitness, the XOR search) also pin the evaluation count and the best
+position, and were recorded before the swarm was held as arrays.
 A failure means a change altered seeded arithmetic, not that training got
 worse.
 
@@ -19,11 +22,11 @@ import numpy as np
 
 from fdo_mlp.benchmarks import get_benchmark
 from fdo_mlp.cli import main
-from fdo_mlp.data import generate_synthetic, min_max_normalize
+from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
 from fdo_mlp.evaluation import kfold_splits
 from fdo_mlp.fdo import FdoConfig, optimize, uniform_bounds
 from fdo_mlp.mlp import MlpTopology, hidden_size_rule
-from fdo_mlp.training import TrainingConfig, train_bp_mlp, train_fdo_mlp
+from fdo_mlp.training import TrainingConfig, make_objective, train_bp_mlp, train_fdo_mlp
 
 TOPOLOGY = MlpTopology(18, hidden_size_rule(18), 1)
 
@@ -92,3 +95,64 @@ def test_crossval_report_bytes(tmp_path):
     }
     for name, digest in expected.items():
         assert hashlib.sha256((tmp_path / "cv" / name).read_bytes()).hexdigest() == digest, name
+
+
+def _search(objective, lower, upper, dimension, **settings):
+    config = FdoConfig(bounds=uniform_bounds(lower, upper, dimension), **settings)
+    return optimize(objective, config)
+
+
+def _assert_run(result, best, evaluations, curve, position):
+    assert repr(result.best_fitness) == best
+    assert result.evaluations == evaluations
+    assert _digest(result.curve.values) == curve
+    assert _digest(result.best_position) == position
+
+
+def test_rosenbrock_weight_factor_0_3():
+    result = _search(get_benchmark("rosenbrock", 4).evaluate, -5, 10, 4,
+                     population=20, max_iterations=300, weight_factor=0.3, seed=3)
+    _assert_run(result, "0.0100366974956316", 11353,
+                "87d077c7be4d896f1e03ab19ff944c886904aa34f39dc68d5f186519db4ef217",
+                "ed51a2ce3024ffc89240f683306cceb98ab9d5ebbd481761c87a86df31f4b525")
+
+
+def test_rastrigin_weight_factor_0_7():
+    """Also reaches a fitness of exactly 0, after which every fw is 0 or NaN."""
+    result = _search(get_benchmark("rastrigin", 10).evaluate, -5.12, 5.12, 10,
+                     population=30, max_iterations=200, weight_factor=0.7, seed=5)
+    _assert_run(result, "0.0", 10602,
+                "c4321ccf1b51251d8b84a4ed80280585e8d139e7ee244ab9424767f7cc186a08",
+                "d9d1957d2f9dd4c4555a355903ddb481446500f572edd786752c78064799e8b0")
+
+
+def test_single_scout():
+    result = _search(get_benchmark("sphere", 3).evaluate, -10, 10, 3,
+                     population=1, max_iterations=200, seed=8)
+    _assert_run(result, "4.6583360924903554e-55", 298,
+                "9322ceae0eac403e24802ed6c03414859cb86b33e9edd3d282b77c52314b0005",
+                "a5d7119497a7e6d25714b4079e4d2012cfc7d742f1ec5fc9b0cfa1e436bec4be")
+
+
+def test_zero_fitness_degenerate_box():
+    """Every scout sits at the origin with fitness 0: each proposal and
+    each retry is rejected, so every iteration costs two evaluations a scout."""
+    result = _search(get_benchmark("sphere", 3).evaluate, 0, 0, 3,
+                     population=4, max_iterations=10, seed=2)
+    _assert_run(result, "0.0", 84,
+                "e3a3fab17b9cabd0a4d6aa9d10895e5f5731b4209040d10624bd8a87a71ea7b0",
+                "e398335055001d06d009004dc7e9a23df184e5f808730bd5bb430d5c49219373")
+
+
+def test_xor_search_seed_zero():
+    """Criterion 6's first seed: 2-5-1 network, 40 scouts x 200 iterations."""
+    xor = LabeledDataset(features=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                         labels=np.array([0, 1, 1, 0]), column_names=("x1", "x2"))
+    config = TrainingConfig.for_topology(MlpTopology(2, 5, 1), population=40,
+                                         max_iterations=200,
+                                         weight_bounds=(-10.0, 10.0), seed=0)
+    result = optimize(make_objective(config.topology, xor, config.sigmoid_output),
+                      config.fdo)
+    _assert_run(result, "0.00020889974501243718", 14346,
+                "c7ba75d7089eb7ace1a061f4ff9c6600fe3b62176cc7a26bb55bd652f0bb4b2a",
+                "6ac2c6ec8e9d65913e37fb792bf31daa19a6b1f8347c74b6f449e3cb0ae9b8fc")
