@@ -75,7 +75,13 @@ def hidden_size_rule(feature_count: int) -> int:
 
 
 def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
-    """Unpack a flat vector into structured weights and biases."""
+    """Unpack a flat vector into structured weights and biases.
+
+    The result owns C-ordered copies: each layer's block is copied once,
+    transposed to (fan-in + 1, units), and split into its weight rows and
+    its bias row. Later writes to ``flat`` do not reach the result, and both
+    matrix products read contiguous weights.
+    """
     flat = np.asarray(flat, dtype=float)
     expected = vector_dimension(topology)
     if flat.shape != (expected,):
@@ -83,14 +89,13 @@ def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
             f"flat vector has length {flat.size}, expected {expected} "
             f"for topology ({topology.inputs}, {topology.hidden}, {topology.outputs})")
     n, m, o = topology.inputs, topology.hidden, topology.outputs
-    flat = flat.copy()
-    hidden_block = flat[:(n + 1) * m].reshape(m, n + 1)
-    output_block = flat[(n + 1) * m:].reshape(o, m + 1)
+    hidden_block = flat[:(n + 1) * m].reshape(m, n + 1).T.copy()
+    output_block = flat[(n + 1) * m:].reshape(o, m + 1).T.copy()
     return MlpParams(
-        input_hidden_weights=hidden_block[:, :n].T,
-        hidden_biases=hidden_block[:, n],
-        hidden_output_weights=output_block[:, :m].T,
-        output_biases=output_block[:, m],
+        input_hidden_weights=hidden_block[:n],
+        hidden_biases=hidden_block[n],
+        hidden_output_weights=output_block[:m],
+        output_biases=output_block[m],
     )
 
 
@@ -106,12 +111,16 @@ def encode(params: MlpParams) -> np.ndarray:
 def sigmoid(s):
     """Logistic function 1 / (1 + exp(-s)), elementwise; scalars give scalars.
 
-    One e = exp(-|s|) serves both signs, as 1 / (1 + e) for s >= 0 and
-    e / (1 + e) below, so exp never overflows.
+    One e = exp(-|s|) serves both signs, so exp never overflows. The
+    numerator max(e, s >= 0) is 1 for s >= 0 (there e <= 1) and e below
+    (there the mask is 0 and e >= 0); NaN stays NaN. Each element is
+    therefore the same division as in the two-branch form 1 / (1 + e) for
+    s >= 0 and e / (1 + e) otherwise, and gives the same bits, without a
+    second division or a select.
     """
     s = np.asarray(s, dtype=float)
     e = np.exp(-np.abs(s))
-    return np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))[()]
+    return (np.maximum(e, s >= 0.0) / (1.0 + e))[()]
 
 
 def _forward_pass(params: MlpParams, x: np.ndarray,

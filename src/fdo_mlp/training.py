@@ -112,10 +112,15 @@ def _target_matrix(labels: np.ndarray, outputs: int) -> np.ndarray:
     return targets
 
 
+def _mse(residuals: np.ndarray) -> float:
+    """Mean over rows of the summed squares of a (samples, outputs) residual
+    matrix: the one MSE expression every caller shares."""
+    return float(np.mean(np.sum(residuals ** 2, axis=1)))
+
+
 def output_mse(outputs: np.ndarray, labels: np.ndarray) -> float:
     """MSE of a (samples, outputs) matrix against 0/1 labels, one-hot if o > 1."""
-    targets = _target_matrix(labels, outputs.shape[1])
-    return float(np.mean(np.sum((outputs - targets) ** 2, axis=1)))
+    return _mse(outputs - _target_matrix(labels, outputs.shape[1]))
 
 
 def _check_dataset(topology: MlpTopology, data: LabeledDataset) -> None:
@@ -136,11 +141,18 @@ def mse_fitness(params: MlpParams, data: LabeledDataset,
 
 def make_objective(topology: MlpTopology, data: LabeledDataset,
                    sigmoid_output: bool = False) -> Callable[[np.ndarray], float]:
-    """Pure objective mapping a flat parameter vector to its training MSE."""
+    """Pure objective mapping a flat parameter vector to its training MSE.
+
+    The dataset is checked and its targets built here, once; each call is
+    :func:`mse_fitness` of the decoded vector without repeating either.
+    """
     _check_dataset(topology, data)
+    features = data.features
+    targets = _target_matrix(data.labels, topology.outputs)
 
     def objective(flat: np.ndarray) -> float:
-        return mse_fitness(decode(flat, topology), data, sigmoid_output)
+        outputs = forward_batch(decode(flat, topology), features, sigmoid_output)
+        return _mse(outputs - targets)
 
     return objective
 
@@ -155,13 +167,14 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
                         curve=result.curve, config=config)
 
 
-def _loss_and_gradient(params: MlpParams, data: LabeledDataset,
+def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
                        sigmoid_output: bool) -> tuple[float, MlpParams]:
-    """:func:`mse_fitness` and its gradient from one forward pass."""
-    x = data.features
+    """:func:`mse_fitness` and its gradient from one forward pass over the
+    features ``x`` against a prebuilt :func:`_target_matrix`."""
     hidden, out = _forward_pass(params, x, sigmoid_output)
-    loss = output_mse(out, data.labels)
-    d_out = (2.0 / data.n_samples) * (out - _target_matrix(data.labels, out.shape[1]))
+    residuals = out - targets
+    loss = _mse(residuals)
+    d_out = (2.0 / x.shape[0]) * residuals
     if sigmoid_output:
         d_out = d_out * out * (1.0 - out)
     grad_v = hidden.T @ d_out
@@ -176,7 +189,8 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
                  sigmoid_output: bool = False) -> MlpParams:
     """Analytic gradient of :func:`mse_fitness`, arranged like the params;
     the gradient half of the loss-and-gradient pass backprop trains with."""
-    return _loss_and_gradient(params, data, sigmoid_output)[1]
+    targets = _target_matrix(data.labels, params.hidden_output_weights.shape[1])
+    return _loss_and_gradient(params, data.features, targets, sigmoid_output)[1]
 
 
 def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
@@ -199,8 +213,10 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     n, m, o = topology.inputs, topology.hidden, topology.outputs
     params = MlpParams(gen.uniform(-0.5, 0.5, (n, m)), gen.uniform(-0.5, 0.5, m),
                        gen.uniform(-0.5, 0.5, (m, o)), gen.uniform(-0.5, 0.5, o))
+    x = train_data.features
+    targets = _target_matrix(train_data.labels, o)
     best_params = params
-    best_loss, grads = _loss_and_gradient(params, train_data, sigmoid_output)
+    best_loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output)
     values: list[float] = []
     for epoch in range(1, epochs + 1):
         params = MlpParams(
@@ -210,7 +226,7 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
             params.output_biases - learning_rate * grads.output_biases,
         )
         # the gradient for the next epoch comes from the pass that scores these params
-        loss, grads = _loss_and_gradient(params, train_data, sigmoid_output)
+        loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output)
         if not np.isfinite(loss):
             raise EvaluationError(f"training diverged at epoch {epoch}")
         if loss < best_loss:

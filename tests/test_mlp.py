@@ -91,6 +91,26 @@ class TestCodec:
                                       params.input_hidden_weights)
         np.testing.assert_array_equal(again.output_biases, params.output_biases)
 
+    def test_params_do_not_share_the_flat_vector(self):
+        rng = np.random.default_rng(14)
+        for topology in (MlpTopology(3, 5, 2), MlpTopology(18, 37, 1),
+                         MlpTopology(1, 1, 1)):
+            flat = rng.normal(size=vector_dimension(topology))
+            params = decode(flat, topology)
+            arrays = (params.input_hidden_weights, params.hidden_biases,
+                      params.hidden_output_weights, params.output_biases)
+            before = [a.copy() for a in arrays]
+            flat[:] = np.nan
+            for array, kept in zip(arrays, before):
+                np.testing.assert_array_equal(array, kept)
+
+    def test_weight_matrices_are_c_contiguous(self):
+        rng = np.random.default_rng(15)
+        for topology in (MlpTopology(18, 37, 1), MlpTopology(3, 5, 2)):
+            params = decode(rng.normal(size=vector_dimension(topology)), topology)
+            assert params.input_hidden_weights.flags.c_contiguous
+            assert params.hidden_output_weights.flags.c_contiguous
+
     def test_zero_params_encode(self):
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
         np.testing.assert_array_equal(encode(params), np.zeros(4))
@@ -133,10 +153,12 @@ class TestSigmoid:
             return out
 
         rng = np.random.default_rng(21)
-        for shape, scale in (((287, 37), 30.0), ((230, 1), 5.0), ((7,), 800.0)):
+        for shape, scale in (((287, 37), 30.0), ((230, 1), 5.0), ((7,), 800.0),
+                             ((230, 37), 800.0)):
             s = rng.uniform(-scale, scale, shape)
             np.testing.assert_array_equal(sigmoid(s), reference(s))
-        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
+                          np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-16, -1e-16])
         np.testing.assert_array_equal(sigmoid(edges), reference(edges))
 
 

@@ -100,13 +100,28 @@ class TestMseFitness:
 class TestMakeObjective:
     def test_composition_identity_fuzz(self):
         rng = np.random.default_rng(15)
-        topology = MlpTopology(2, 3, 1)
-        data = random_dataset(rng, 6, 2)
-        for flag in (False, True):
-            objective = make_objective(topology, data, sigmoid_output=flag)
-            for _ in range(20):
-                params = random_params(rng, topology)
-                assert objective(encode(params)) == mse_fitness(params, data, flag)
+        for topology, samples in ((MlpTopology(2, 3, 1), 6), (MlpTopology(3, 4, 2), 9),
+                                  (MlpTopology(18, 37, 1), 230)):
+            data = random_dataset(rng, samples, topology.inputs)
+            for flag, scale in ((False, 1.0), (True, 1.0), (False, 10.0), (True, 10.0)):
+                objective = make_objective(topology, data, sigmoid_output=flag)
+                for _ in range(20):
+                    params = random_params(rng, topology, scale)
+                    assert objective(encode(params)) == mse_fitness(params, data, flag)
+
+    def test_one_forward_pass_and_no_target_rebuild_per_call(self, monkeypatch):
+        from fdo_mlp import training
+        rng = np.random.default_rng(17)
+        topology = MlpTopology(3, 4, 2)
+        objective = make_objective(topology, random_dataset(rng, 7, 3))
+        calls = []
+        real_forward, real_targets = training.forward_batch, training._target_matrix
+        monkeypatch.setattr(training, "forward_batch",
+                            lambda *args: calls.append("forward") or real_forward(*args))
+        monkeypatch.setattr(training, "_target_matrix",
+                            lambda *args: calls.append("targets") or real_targets(*args))
+        objective(rng.normal(size=vector_dimension(topology)))
+        assert calls == ["forward"]
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
