@@ -2,8 +2,10 @@
 
 Three shapes cover the cases that matter for a sanity check: one convex
 bowl (sphere), one highly multimodal surface (rastrigin), and one curved
-narrow valley (rosenbrock). The registry is a plain dict so more functions
-can be added without touching the CLI.
+narrow valley (rosenbrock). Each maps one ``(d,)`` point to a scalar and a
+``(k, d)`` matrix to one value per row, so it serves directly as an FDO
+objective. The registry is a plain dict so more functions can be added
+without touching the CLI.
 """
 
 from __future__ import annotations
@@ -18,33 +20,34 @@ import numpy as np
 class BenchmarkFunction:
     name: str
     dimension: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     known_minimum: float
     default_bounds: tuple[float, float]
     argmin: np.ndarray
 
 
-def sphere(x) -> float:
+def sphere(x):
     """Sum of squared components; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    return float(np.sum(x * x))
+    return np.sum(x * x, axis=-1)
 
 
-def rastrigin(x) -> float:
+def rastrigin(x):
     """10*d + sum(x_i^2 - 10*cos(2*pi*x_i)); minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x)))
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
-def rosenbrock(x) -> float:
+def rosenbrock(x):
     """Sum of 100*(x_{i+1} - x_i^2)^2 + (1 - x_i)^2; minimum 0 at all ones."""
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
+    if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("rosenbrock needs at least 2 dimensions")
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-_REGISTRY: dict[str, tuple[Callable[[np.ndarray], float], tuple[float, float], float, int]] = {
+_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], tuple[float, float], float, int]] = {
     # name: (function, default bounds, argmin fill value, minimum dimension)
     "sphere": (sphere, (-100.0, 100.0), 0.0, 1),
     "rastrigin": (rastrigin, (-5.12, 5.12), 0.0, 1),

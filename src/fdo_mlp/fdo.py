@@ -14,30 +14,29 @@ The swarm is held as arrays with one row per scout (:class:`Swarm`), and
 each iteration runs in two batched phases. First every scout's pace is
 computed from one ``(population, dimension)`` block of draws and the global
 best as of the start of the iteration, and every first proposal is
-evaluated in scout order. Then the stored pace is retried for the rejected
-scouts only, again in scout order. Finally the global best is refreshed.
+evaluated. Then the stored pace is retried for the rejected scouts only.
+Finally the global best is refreshed.
 
-The objective is treated as a black box ``vector -> float`` and is called
-one row at a time. No scout's proposal depends on another scout's outcome
-within an iteration, so the two-phase schedule gives exactly the results,
-random stream and evaluation count of moving the scouts one after another
-(proposal, then retry, then the next scout). Only the order of the calls
-within an iteration differs from that schedule (all first proposals, then
-the retries), which an impure objective alone can notice. The rows passed
-in are views into the swarm's arrays: an objective must neither modify nor
-keep them.
+The objective is a black box from a ``(k, d)`` matrix of positions, one
+row per scout, to ``k`` values, and is called once per phase: once for the
+initial population, then once for the first proposals and at most once for
+the retries of each iteration. The matrix may be a view into the swarm's
+arrays: an objective must neither modify nor keep it. No scout's proposal
+depends on another scout's outcome within an iteration, so the two-phase
+schedule gives exactly the results, random stream and evaluation count of
+moving the scouts one after another (proposal, then retry, then the next
+scout), provided each row's value depends on that row alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-Objective = Callable[[np.ndarray], float]
+Objective = Callable[[np.ndarray], np.ndarray]
 
 #: Seed used whenever the caller does not supply one, so quickstart runs are
 #: reproducible by default.
@@ -204,18 +203,26 @@ def compute_pace(positions: np.ndarray, best_position: np.ndarray,
     return pace
 
 
-def _evaluate(objective: Objective, position: np.ndarray) -> float:
-    value = float(objective(position))
-    if not math.isfinite(value):
-        raise EvaluationError(
-            f"objective returned non-finite value {value!r}",
-            position=position.copy())
-    return value
-
-
 def _evaluate_rows(objective: Objective, rows: np.ndarray) -> np.ndarray:
-    """Objective value of every row, evaluated in row order."""
-    return np.array([_evaluate(objective, row) for row in rows])
+    """Objective value of every row of ``rows``, from one call.
+
+    The values are copied into a fresh array, so an objective may reuse its
+    result buffer. Any shape other than one value per row is a contract
+    error; the first non-finite value raises :class:`EvaluationError` with
+    its row's position.
+    """
+    values = np.array(objective(rows), dtype=float)
+    if values.shape != (len(rows),):
+        raise ValueError(
+            f"objective returned shape {values.shape} for positions of shape "
+            f"{rows.shape}: expected ({len(rows)},), one value per row")
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise EvaluationError(
+            f"objective returned non-finite value {float(values[i])!r}",
+            position=rows[i].copy())
+    return values
 
 
 def _refresh_best(swarm: Swarm) -> None:

@@ -41,7 +41,8 @@ class MlpParams:
     """Structured view of one parameter vector.
 
     Shapes: input_hidden_weights (n, m), hidden_biases (m,),
-    hidden_output_weights (m, o), output_biases (o,).
+    hidden_output_weights (m, o), output_biases (o,). Params decoded from a
+    ``(c, d)`` stack of vectors carry a leading axis of length c on each.
     """
 
     input_hidden_weights: np.ndarray
@@ -50,15 +51,16 @@ class MlpParams:
     output_biases: np.ndarray
 
     def __post_init__(self):
-        n, m = self.input_hidden_weights.shape
-        m2, o = self.hidden_output_weights.shape
-        if m2 != m or self.hidden_biases.shape != (m,) or self.output_biases.shape != (o,):
+        *stack, n, m = self.input_hidden_weights.shape
+        *stack_out, m2, o = self.hidden_output_weights.shape
+        if (stack_out != stack or m2 != m or self.hidden_biases.shape != (*stack, m)
+                or self.output_biases.shape != (*stack, o)):
             raise ValueError("parameter shapes are inconsistent")
 
     @property
     def topology(self) -> MlpTopology:
-        n, m = self.input_hidden_weights.shape
-        return MlpTopology(n, m, self.hidden_output_weights.shape[1])
+        n, m = self.input_hidden_weights.shape[-2:]
+        return MlpTopology(n, m, self.hidden_output_weights.shape[-1])
 
 
 def vector_dimension(topology: MlpTopology) -> int:
@@ -75,27 +77,34 @@ def hidden_size_rule(feature_count: int) -> int:
 
 
 def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
-    """Unpack a flat vector into structured weights and biases.
+    """Unpack a flat vector into structured weights and biases; a ``(c, d)``
+    stack of vectors gives params with a leading axis of length c.
 
     The result owns C-ordered copies: each layer's block is copied once,
     transposed to (fan-in + 1, units), and split into its weight rows and
     its bias row. Later writes to ``flat`` do not reach the result, and both
-    matrix products read contiguous weights.
+    matrix products read contiguous weights (per slice, for a stack).
     """
     flat = np.asarray(flat, dtype=float)
     expected = vector_dimension(topology)
-    if flat.shape != (expected,):
+    if flat.ndim not in (1, 2):
+        raise ValueError(f"flat vectors have shape {flat.shape}, expected "
+                         f"({expected},) or (k, {expected})")
+    if flat.shape[-1] != expected:
         raise ValueError(
-            f"flat vector has length {flat.size}, expected {expected} "
+            f"flat vector has length {flat.shape[-1]}, expected {expected} "
             f"for topology ({topology.inputs}, {topology.hidden}, {topology.outputs})")
     n, m, o = topology.inputs, topology.hidden, topology.outputs
-    hidden_block = flat[:(n + 1) * m].reshape(m, n + 1).T.copy()
-    output_block = flat[(n + 1) * m:].reshape(o, m + 1).T.copy()
+    stack = flat.shape[:-1]
+    hidden_block = np.swapaxes(
+        flat[..., :(n + 1) * m].reshape(*stack, m, n + 1), -1, -2).copy()
+    output_block = np.swapaxes(
+        flat[..., (n + 1) * m:].reshape(*stack, o, m + 1), -1, -2).copy()
     return MlpParams(
-        input_hidden_weights=hidden_block[:n],
-        hidden_biases=hidden_block[n],
-        hidden_output_weights=output_block[:m],
-        output_biases=output_block[m],
+        input_hidden_weights=hidden_block[..., :n, :],
+        hidden_biases=hidden_block[..., n, :],
+        hidden_output_weights=output_block[..., :m, :],
+        output_biases=output_block[..., m, :],
     )
 
 
@@ -108,7 +117,7 @@ def encode(params: MlpParams) -> np.ndarray:
     return np.concatenate([hidden_block.ravel(), output_block.ravel()])
 
 
-def sigmoid(s):
+def sigmoid(s, out=None, mask=None):
     """Logistic function 1 / (1 + exp(-s)), elementwise; scalars give scalars.
 
     One e = exp(-|s|) serves both signs, so exp never overflows. The
@@ -117,17 +126,39 @@ def sigmoid(s):
     therefore the same division as in the two-branch form 1 / (1 + e) for
     s >= 0 and e / (1 + e) otherwise, and gives the same bits, without a
     second division or a select.
+
+    Given ``out`` (float) and ``mask`` (bool) arrays shaped like an array
+    ``s``, the result is written to ``out`` and nothing is allocated: ``s``
+    then holds e and 1 + e in turn, so its values are lost.
     """
     s = np.asarray(s, dtype=float)
-    e = np.exp(-np.abs(s))
-    return (np.maximum(e, s >= 0.0) / (1.0 + e))[()]
+    positive = np.greater_equal(s, 0.0, out=mask)
+    scratch = None if out is None else s
+    e = np.exp(np.negative(np.abs(s, out=scratch), out=scratch), out=scratch)
+    numerator = np.maximum(e, positive, out=out)
+    return np.divide(numerator, np.add(e, 1.0, out=scratch), out=out)[()]
 
 
-def _forward_pass(params: MlpParams, x: np.ndarray,
-                  sigmoid_output: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden activations and network outputs: the one forward body."""
-    hidden = sigmoid(x @ params.input_hidden_weights + params.hidden_biases)
-    out = hidden @ params.hidden_output_weights + params.output_biases
+def _forward_pass(params: MlpParams, x: np.ndarray, sigmoid_output: bool,
+                  work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations and network outputs: the one forward body.
+
+    Stacked params (a leading axis of length c) give ``(c, samples, units)``
+    arrays, one matrix product per slice. ``work`` holds a pre-activation,
+    an activation and a bool mask array shaped like the hidden layer; the
+    layer is then computed in them instead of in fresh arrays, and the
+    returned activations are a view of the second one.
+    """
+    biases, output_biases = params.hidden_biases, params.output_biases
+    if params.input_hidden_weights.ndim == 3:
+        biases, output_biases = biases[:, None], output_biases[:, None]
+    pre, hidden, mask = (None, None, None) if work is None else work
+    s = np.matmul(x, params.input_hidden_weights, out=pre)
+    s += biases
+    hidden = sigmoid(s, hidden, mask)
+    out = hidden @ params.hidden_output_weights
+    out += output_biases
     return hidden, (sigmoid(out) if sigmoid_output else out)
 
 

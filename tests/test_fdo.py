@@ -9,7 +9,13 @@ from fdo_mlp.fdo import (ConvergenceCurve, EvaluationError, FdoConfig, Swarm,
 
 
 def sphere(x):
-    return float(np.sum(np.asarray(x) ** 2))
+    """One value per row of a (k, d) matrix; a scalar for one (d,) position."""
+    return np.sum(np.asarray(x) ** 2, axis=-1)
+
+
+def row_form(objective):
+    """An objective written for one position, applied to each row in order."""
+    return lambda positions: np.array([objective(x) for x in positions])
 
 
 class FakeRng:
@@ -244,7 +250,7 @@ class TestInitializeSwarm:
     def test_best_is_first_lowest_and_owned(self):
         config = FdoConfig(bounds=uniform_bounds(-3, 3, 2), population=6)
         values = iter([5.0, 1.0, 3.0, 1.0, 2.0, 1.0])
-        swarm = initialize_swarm(config, lambda x: next(values),
+        swarm = initialize_swarm(config, row_form(lambda x: next(values)),
                                  np.random.default_rng(3))
         np.testing.assert_array_equal(swarm.best_position, swarm.positions[1])
         assert swarm.best_fitness == 1.0 and type(swarm.best_fitness) is float
@@ -254,7 +260,7 @@ class TestInitializeSwarm:
     def test_non_finite_objective_raises_with_position(self):
         config = FdoConfig(bounds=uniform_bounds(-1, 1, 2), population=3)
         with pytest.raises(EvaluationError) as excinfo:
-            initialize_swarm(config, lambda x: float("nan"),
+            initialize_swarm(config, row_form(lambda x: float("nan")),
                              np.random.default_rng(0))
         assert excinfo.value.position is not None
 
@@ -273,7 +279,7 @@ class TestStep:
         # fw = |1/4| = 0.25, r = 0.5 >= 0 -> pace 0.25 * (2 - 1) = 0.25;
         # candidate 2.25 has fitness 5.0625 > 4 -> rejected; stored zero pace
         # retries x = 2 with fitness 4, not a strict improvement -> stay.
-        assert step(swarm, traced, config, FakeRng([[[0.5]]])) == 2
+        assert step(swarm, row_form(traced), config, FakeRng([[[0.5]]])) == 2
         assert calls == [2.25, 2.0]
         np.testing.assert_array_equal(swarm.positions, [[2.0]])
         assert swarm.fitness.tolist() == [4.0]
@@ -290,7 +296,7 @@ class TestStep:
             return sphere(x)
 
         # Proposal 2.25 as above is rejected; the retry 2 - 4 = -2 ties at 4.
-        step(swarm, traced, config, FakeRng([[[0.5]]]))
+        step(swarm, row_form(traced), config, FakeRng([[[0.5]]]))
         assert calls == [2.25, -2.0]
         np.testing.assert_array_equal(swarm.positions, [[2.0]])
         np.testing.assert_array_equal(swarm.last_pace, [[-4.0]])
@@ -358,7 +364,7 @@ class TestStep:
                 return calls[-1]
 
             rng.sizes.clear()
-            made = step(swarm, traced, config, rng)
+            made = step(swarm, row_form(traced), config, rng)
             assert rng.sizes == [(9, 3)]
             rejected = int(np.sum(np.array(calls[:9]) >= before))
             assert made == len(calls) == 9 + rejected
@@ -379,7 +385,7 @@ class TestStep:
         # fw = |4/4| = 1 -> random pace 2 * -0.5 = -1; then 1 * 0.5 = 0.5.
         rng = FakeRng([[[2.0]], [[-0.5]], [[0.5]]])
         with pytest.raises(EvaluationError) as excinfo:
-            optimize(objective, config, rng)
+            optimize(row_form(objective), config, rng)
         assert calls == [2.0, 1.0, 1.5, 0.0]
         np.testing.assert_array_equal(excinfo.value.position, [0.0])
         assert excinfo.value.iteration == 1
@@ -402,7 +408,7 @@ class TestStep:
 
     def test_batched_schedule_matches_per_scout_reference(self):
         cases = [(sphere, (-100, 100), 10, 12, 0.0, 0), (sphere, (-3, 3), 3, 1, 0.0, 5),
-                 (lambda x: float(np.sum(np.floor(np.abs(x)))), (-3, 3), 2, 6, 0.2, 6)]
+                 (lambda x: np.sum(np.floor(np.abs(x)), axis=-1), (-3, 3), 2, 6, 0.2, 6)]
         for objective, (lo, hi), d, population, wf, seed in cases:
             config = FdoConfig(bounds=uniform_bounds(lo, hi, d), population=population,
                                max_iterations=40, weight_factor=wf, seed=seed)
@@ -412,6 +418,76 @@ class TestStep:
             assert result.best_position.tobytes() == best.tobytes()
             assert result.best_fitness == best_fitness
             assert result.evaluations == evaluations
+
+
+class TestObjectiveCalls:
+    def test_one_call_per_phase(self):
+        """One call for the population, one for every iteration's first
+        proposals and one for its retries when any proposal was rejected."""
+        config = FdoConfig(bounds=uniform_bounds(-5, 5, 3), population=9,
+                           max_iterations=30, seed=6)
+        shapes = []
+
+        def recorded(x):
+            shapes.append(x.shape)
+            return sphere(x)
+
+        result = optimize(recorded, config)
+        rng = np.random.default_rng(config.seed)
+        swarm = initialize_swarm(config, sphere, rng)
+        with_rejection = sum(step(swarm, sphere, config, rng) > config.population
+                             for _ in range(config.max_iterations))
+        assert 0 < with_rejection <= config.max_iterations
+        assert len(shapes) == 1 + config.max_iterations + with_rejection
+        assert all(len(shape) == 2 and shape[1] == 3 for shape in shapes)
+        assert sum(rows for rows, _ in shapes) == result.evaluations
+        assert shapes[:2] == [(9, 3), (9, 3)]
+
+    def test_scalar_result_rejected_with_both_shapes(self):
+        config = FdoConfig(bounds=uniform_bounds(-100, 100, 10), population=30)
+        with pytest.raises(ValueError, match=r"shape \(\).*\(30, 10\).*\(30,\)"):
+            optimize(lambda x: float(np.sum(x * x)), config)
+        with pytest.raises(ValueError, match=r"shape \(30, 1\)"):
+            optimize(lambda x: sphere(x)[:, None], config)
+
+    def test_reused_result_buffer_leaves_fitness_intact(self):
+        """The values are copied out of the objective's result, so an
+        objective that hands back the same buffer every call is safe."""
+        config = FdoConfig(bounds=uniform_bounds(-5, 5, 4), population=10, seed=3)
+        buffer = np.empty(config.population)
+
+        def reusing(x):
+            out = buffer[:len(x)]
+            out[:] = sphere(x)
+            return out
+
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        swarm = initialize_swarm(config, reusing, rng)
+        reference = initialize_swarm(config, sphere, reference_rng)
+        for _ in range(15):
+            assert step(swarm, reusing, config, rng) == step(
+                reference, sphere, config, reference_rng)
+            np.testing.assert_array_equal(swarm.fitness, reference.fitness)
+            np.testing.assert_array_equal(swarm.fitness, sphere(swarm.positions))
+        assert not np.shares_memory(swarm.fitness, buffer)
+
+    def test_non_finite_retry_row_names_that_row(self):
+        """Three rejected proposals, then retries at 2.5, 3.25 and 4.125:
+        the middle one is NaN and the error carries its position."""
+        config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=3)
+        swarm = Swarm(np.array([[2.0], [3.0], [4.0]]), np.array([4.0, 9.0, 16.0]),
+                      np.array([[0.5], [0.25], [0.125]]), np.array([1.0]), 1.0)
+        calls = []
+
+        def objective(x):
+            calls.append(x[:, 0].tolist())
+            return np.where(x[:, 0] == 3.25, np.nan, sphere(x))
+
+        # fw = 1/4, 1/9, 1/16 and r = 0.5 move each scout away from the best.
+        with pytest.raises(EvaluationError, match="nan") as excinfo:
+            step(swarm, objective, config, FakeRng([[[0.5], [0.5], [0.5]]]))
+        assert len(calls) == 2 and calls[1] == [2.5, 3.25, 4.125]
+        np.testing.assert_array_equal(excinfo.value.position, [3.25])
 
 
 class TestOptimize:
@@ -460,7 +536,7 @@ class TestOptimize:
         config = FdoConfig(bounds=uniform_bounds(-5, 5, 2), population=5,
                            max_iterations=50, seed=1)
         with pytest.raises(EvaluationError) as excinfo:
-            optimize(flaky, config)
+            optimize(row_form(flaky), config)
         assert excinfo.value.iteration is not None
 
     def test_converges_on_sphere(self):

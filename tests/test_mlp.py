@@ -73,6 +73,10 @@ class TestCodec:
     def test_wrong_length_reports_sizes(self):
         with pytest.raises(ValueError, match="length 3, expected 4"):
             decode(np.zeros(3), MlpTopology(1, 1, 1))
+        with pytest.raises(ValueError, match="length 3, expected 4"):
+            decode(np.zeros((2, 3)), MlpTopology(1, 1, 1))
+        with pytest.raises(ValueError, match=r"shape \(2, 2, 4\)"):
+            decode(np.zeros((2, 2, 4)), MlpTopology(1, 1, 1))
 
     def test_roundtrip_fuzz(self):
         rng = np.random.default_rng(11)
@@ -81,6 +85,15 @@ class TestCodec:
                                    int(rng.integers(1, 4)))
             flat = rng.normal(size=vector_dimension(topology))
             np.testing.assert_array_equal(encode(decode(flat, topology)), flat)
+        # a (c, d) stack decodes to the stacked params of its rows
+        stack = rng.normal(size=(3, vector_dimension(topology)))
+        stacked = decode(stack, topology)
+        assert stacked.topology == topology
+        for i, row in enumerate(stack):
+            np.testing.assert_array_equal(
+                encode(MlpParams(stacked.input_hidden_weights[i], stacked.hidden_biases[i],
+                                 stacked.hidden_output_weights[i],
+                                 stacked.output_biases[i])), row)
 
     def test_roundtrip_from_params(self):
         rng = np.random.default_rng(12)
@@ -154,12 +167,19 @@ class TestSigmoid:
 
         rng = np.random.default_rng(21)
         for shape, scale in (((287, 37), 30.0), ((230, 1), 5.0), ((7,), 800.0),
-                             ((230, 37), 800.0)):
+                             ((230, 37), 800.0), ((7, 230, 37), 30.0)):
             s = rng.uniform(-scale, scale, shape)
             np.testing.assert_array_equal(sigmoid(s), reference(s))
         edges = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
                           np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-16, -1e-16])
         np.testing.assert_array_equal(sigmoid(edges), reference(edges))
+        # with work arrays: the same bits, written to out, s used as scratch
+        for s in (edges, rng.uniform(-30.0, 30.0, (3, 230, 37))):
+            out, mask = np.empty_like(s), np.empty(s.shape, dtype=bool)
+            expected = reference(s)
+            result = sigmoid(s.copy(), out, mask)
+            assert np.shares_memory(result, out)
+            np.testing.assert_array_equal(out, expected)
 
 
 class TestForward:

@@ -97,31 +97,69 @@ class TestMseFitness:
             mse_fitness(params, data)
 
 
+def chunk_size(topology, samples):
+    """Scouts per forward pass of the objective, by its byte budget."""
+    from fdo_mlp.training import _CHUNK_BYTES
+    return max(1, _CHUNK_BYTES // (8 * samples * topology.hidden))
+
+
 class TestMakeObjective:
     def test_composition_identity_fuzz(self):
+        """Also: a (k, d) matrix gives each row's value, bit for bit, for k
+        around the chunk size c of the topology and sample count."""
         rng = np.random.default_rng(15)
-        for topology, samples in ((MlpTopology(2, 3, 1), 6), (MlpTopology(3, 4, 2), 9),
-                                  (MlpTopology(18, 37, 1), 230)):
+        for topology, samples in ((MlpTopology(2, 3, 1), 6), (MlpTopology(2, 5, 1), 4),
+                                  (MlpTopology(3, 4, 2), 9), (MlpTopology(18, 37, 1), 230)):
             data = random_dataset(rng, samples, topology.inputs)
+            c = chunk_size(topology, samples)
             for flag, scale in ((False, 1.0), (True, 1.0), (False, 10.0), (True, 10.0)):
                 objective = make_objective(topology, data, sigmoid_output=flag)
                 for _ in range(20):
                     params = random_params(rng, topology, scale)
                     assert objective(encode(params)) == mse_fitness(params, data, flag)
+                if scale == 1.0:
+                    continue
+                for k in sorted({1, 2, max(c - 1, 1), c, c + 1, 40}):
+                    rows = rng.uniform(-scale, scale, (k, vector_dimension(topology)))
+                    values = objective(rows)
+                    assert values.shape == (k,)
+                    assert values.tolist() == [
+                        mse_fitness(decode(row, topology), data, flag) for row in rows]
 
     def test_one_forward_pass_and_no_target_rebuild_per_call(self, monkeypatch):
+        """One pass of the forward body per chunk of rows, and the targets
+        are never rebuilt."""
         from fdo_mlp import training
         rng = np.random.default_rng(17)
-        topology = MlpTopology(3, 4, 2)
-        objective = make_objective(topology, random_dataset(rng, 7, 3))
+        objectives = [(make_objective(topology, random_dataset(rng, samples, topology.inputs)),
+                       vector_dimension(topology), chunk_size(topology, samples))
+                      for topology, samples in ((MlpTopology(3, 4, 2), 7),
+                                                (MlpTopology(18, 37, 1), 230))]
         calls = []
-        real_forward, real_targets = training.forward_batch, training._target_matrix
-        monkeypatch.setattr(training, "forward_batch",
+        real_forward, real_targets = training._forward_pass, training._target_matrix
+        monkeypatch.setattr(training, "_forward_pass",
                             lambda *args: calls.append("forward") or real_forward(*args))
         monkeypatch.setattr(training, "_target_matrix",
                             lambda *args: calls.append("targets") or real_targets(*args))
-        objective(rng.normal(size=vector_dimension(topology)))
-        assert calls == ["forward"]
+        for objective, d, c in objectives:
+            for size, passes in ((d, 1), ((1, d), 1), ((c, d), 1), ((c + 1, d), 2),
+                                 ((3 * c, d), 3)):
+                calls.clear()
+                objective(rng.normal(size=size))
+                assert calls == ["forward"] * passes
+
+    def test_result_does_not_alias_work_arrays(self):
+        rng = np.random.default_rng(18)
+        for topology, samples in ((MlpTopology(2, 5, 1), 4), (MlpTopology(18, 37, 1), 230)):
+            objective = make_objective(topology, random_dataset(rng, samples, topology.inputs))
+            d = vector_dimension(topology)
+            first_rows, second_rows = rng.normal(size=(2, 40, d))
+            first = objective(first_rows)
+            kept = first.copy()
+            second = objective(second_rows)
+            np.testing.assert_array_equal(first, kept)
+            assert not np.shares_memory(first, second)
+            assert not np.array_equal(first, second)
 
     def test_deterministic(self):
         rng = np.random.default_rng(16)
