@@ -21,8 +21,8 @@ import numpy as np
 from .benchmarks import benchmark_names, get_benchmark
 from .data import (LabeledDataset, generate_synthetic, load_csv,
                    min_max_normalize, save_csv, select_features, write_text_atomic)
-from .evaluation import (METRIC_NAMES, ClassSuccessReport, CrossValReport, bp_trainer,
-                         cross_validate, format_metric, per_class_success, score)
+from .evaluation import (METRIC_NAMES, ConfusionMatrix, CrossValReport, bp_trainer,
+                         cross_validate, format_metric, metrics, score)
 from .fdo import DEFAULT_SEED, EvaluationError, FdoConfig, optimize, uniform_bounds
 from .mlp import MlpTopology, hidden_size_rule, load_params, params_to_text
 from .training import (TRAINING_PRESETS, TrainingConfig, run_statistics,
@@ -59,13 +59,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _convert_config_value(action: argparse.Action, key: str, raw: str):
-    if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return isinstance(action, argparse._StoreTrueAction)
-        if lowered in ("0", "false", "no", "off"):
-            return not isinstance(action, argparse._StoreTrueAction)
-        raise CliError(f"configuration key {key!r}: expected a boolean, got {raw!r}")
     convert = action.type if action.type is not None else str
     tokens = raw.split() if action.nargs == 2 else [raw]
     if action.nargs == 2 and len(tokens) != 2:
@@ -307,7 +300,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _crossval_csvs(report: CrossValReport, success: ClassSuccessReport) -> dict[str, str]:
+def _crossval_csvs(report: CrossValReport) -> dict[str, str]:
     fold_lines = ["fold,role,samples,mse,classification_rate"]
     for f in report.folds:
         fold_lines.append(f"{f.fold},training,{f.train_size},{f.train_mse!r},{f.train_rate!r}")
@@ -315,13 +308,15 @@ def _crossval_csvs(report: CrossValReport, success: ClassSuccessReport) -> dict[
     fold_lines.append(f"average,training,,{report.avg_train_mse!r},{report.avg_train_rate!r}")
     fold_lines.append(f"average,testing,,{report.avg_test_mse!r},{report.avg_test_rate!r}")
 
+    # Per class: its rows, those classified correctly, and their share, which
+    # is the fold's sensitivity or specificity; the totals pool the counts.
+    pooled = ConfusionMatrix(*(sum(getattr(f.confusion, name) for f in report.folds)
+                               for name in ("tp", "fp", "fn", "tn")))
     success_lines = ["fold,class,total,correct,success_rate"]
-    for i, (positive, negative) in enumerate(success.per_fold, start=1):
-        success_lines.append(f"{i},positive,{positive.total},{positive.correct},{_fmt(positive.rate)}")
-        success_lines.append(f"{i},negative,{negative.total},{negative.correct},{_fmt(negative.rate)}")
-    tp, tn = success.total_positive, success.total_negative
-    success_lines.append(f"total,positive,{tp.total},{tp.correct},{_fmt(tp.rate)}")
-    success_lines.append(f"total,negative,{tn.total},{tn.correct},{_fmt(tn.rate)}")
+    for fold, cm, rates in ([(f.fold, f.confusion, f.metrics) for f in report.folds]
+                            + [("total", pooled, metrics(pooled))]):
+        success_lines.append(f"{fold},positive,{cm.tp + cm.fn},{cm.tp},{_fmt(rates.sensitivity)}")
+        success_lines.append(f"{fold},negative,{cm.tn + cm.fp},{cm.tn},{_fmt(rates.specificity)}")
 
     metric_lines = ["fold," + ",".join(METRIC_NAMES)]
     metric_lines += [f"{f.fold},{_metric_values(f.metrics)}" for f in report.folds]
@@ -341,10 +336,9 @@ def cmd_crossval(args: argparse.Namespace) -> int:
     config = _training_config(args, data.n_features)
     train = None if args.trainer == "fdo" else bp_trainer(args.learning_rate, args.epochs)
     report = cross_validate(data, args.k, config, train=train)
-    success = per_class_success([f.confusion for f in report.folds])
 
     out_dir = Path(args.out_dir)
-    for name, text in _crossval_csvs(report, success).items():
+    for name, text in _crossval_csvs(report).items():
         write_text_atomic(out_dir / name, text)
 
     print(f"{args.k}-fold cross-validation ({args.trainer} trainer)")

@@ -1,4 +1,4 @@
-"""Dataset handling: CSV ingestion, normalization, splits, synthetic data.
+"""Dataset handling: CSV ingestion, normalization, synthetic data.
 
 Datasets are immutable-by-convention pairs of a float feature matrix and a
 binary label vector. Normalization is min-max to [0, 1] per column, with the
@@ -65,9 +65,10 @@ class LabeledDataset:
 def load_csv(path, label_column: str) -> LabeledDataset:
     """Read a comma-separated file with a header row into a dataset.
 
-    All cells must parse as finite decimal numbers; the label column must
-    contain only 0 and 1. Parse failures report the file line and column
-    name; a feature column whose max - min overflows is rejected by name.
+    Column names must be distinct. All cells must parse as finite decimal
+    numbers; the label column must contain only 0 and 1. Parse failures
+    report the file line and column name; a feature column whose max - min
+    overflows is rejected by name.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
@@ -77,6 +78,9 @@ def load_csv(path, label_column: str) -> LabeledDataset:
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"{path}: column {name!r} appears twice in the header")
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)
@@ -183,20 +187,6 @@ def select_features(data: LabeledDataset, keep: Sequence[str]) -> LabeledDataset
         state = NormalizationState(mins=state.mins[indices], maxs=state.maxs[indices])
     return LabeledDataset(data.features[:, indices].copy(), data.labels.copy(),
                           tuple(keep), state)
-
-
-def holdout_split(data: LabeledDataset, train_fraction: float,
-                  rng: np.random.Generator) -> tuple[LabeledDataset, LabeledDataset]:
-    """Shuffled train/test split with train size round(fraction * n)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
-    n = data.n_samples
-    train_size = int(round(train_fraction * n))
-    if train_size == 0 or train_size == n:
-        raise ValueError(
-            f"train_fraction {train_fraction} leaves an empty side for {n} samples")
-    order = rng.permutation(n)
-    return data.subset(order[:train_size]), data.subset(order[train_size:])
 
 
 def generate_synthetic(samples: int, features: int, class_separation: float,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .data import LabeledDataset, min_max_normalize, normalize_with
-from .mlp import MlpParams, forward_batch, output_labels, predict_batch
+from .mlp import MlpParams, forward_batch, output_labels
 from .training import TrainedModel, TrainingConfig, output_mse, train_fdo_mlp
 from .training import mse_fitness  # noqa: F401  unused, but perfbench/tracing.py patches it
 
@@ -182,7 +182,8 @@ def score(params: MlpParams, data: LabeledDataset, threshold: float,
 def classification_rate(model_params, data: LabeledDataset, threshold: float = 0.5,
                         sigmoid_output: bool = False) -> float:
     """Fraction of samples whose predicted class matches the label."""
-    predictions = predict_batch(model_params, data.features, threshold, sigmoid_output)
+    predictions = output_labels(forward_batch(model_params, data.features, sigmoid_output),
+                                threshold)
     return float(np.mean(predictions == data.labels))
 
 
@@ -234,6 +235,8 @@ Trainer = Callable[[LabeledDataset, TrainingConfig, np.random.Generator], Traine
 
 def bp_trainer(learning_rate: float, epochs: int) -> Trainer:
     """Adapt the backpropagation baseline to the cross-validation interface."""
+    # Imported here, not at module level, so a function patched in at
+    # training.train_bp_mlp (as perfbench does to record models) is the one used.
     from .training import train_bp_mlp
 
     def train(train_data: LabeledDataset, config: TrainingConfig,
@@ -283,39 +286,3 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
             confusion=cm, metrics=report,
         ))
     return CrossValReport(folds=tuple(reports))
-
-
-@dataclass(frozen=True)
-class ClassSuccess:
-    """Correct-classification tally for one class."""
-
-    total: int
-    correct: int
-
-    @property
-    def rate(self) -> float | None:
-        return None if self.total == 0 else self.correct / self.total
-
-
-@dataclass(frozen=True)
-class ClassSuccessReport:
-    """Per-fold and aggregate success rates for positives and negatives."""
-
-    per_fold: tuple[tuple[ClassSuccess, ClassSuccess], ...]
-    total_positive: ClassSuccess
-    total_negative: ClassSuccess
-
-
-def per_class_success(cms: Sequence[ConfusionMatrix]) -> ClassSuccessReport:
-    """Per-class success rates per fold plus totals over all folds."""
-    per_fold = tuple(
-        (ClassSuccess(total=cm.tp + cm.fn, correct=cm.tp),
-         ClassSuccess(total=cm.tn + cm.fp, correct=cm.tn))
-        for cm in cms)
-    return ClassSuccessReport(
-        per_fold=per_fold,
-        total_positive=ClassSuccess(total=sum(p.total for p, _ in per_fold),
-                                    correct=sum(p.correct for p, _ in per_fold)),
-        total_negative=ClassSuccess(total=sum(n.total for _, n in per_fold),
-                                    correct=sum(n.correct for _, n in per_fold)),
-    )

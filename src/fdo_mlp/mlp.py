@@ -14,12 +14,11 @@ which makes the total length (n+1)*m + (m+1)*o.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .data import write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -193,20 +192,6 @@ def output_labels(outputs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return np.argmax(outputs, axis=1)
 
 
-def predict_class(output, threshold: float = 0.5) -> int:
-    """Class label for one output vector, by :func:`output_labels`' rule."""
-    output = np.asarray(output, dtype=float)
-    if output.size == 0:
-        raise ValueError("output vector is empty")
-    return int(output_labels(output.reshape(1, -1), threshold)[0])
-
-
-def predict_batch(params: MlpParams, inputs: np.ndarray, threshold: float = 0.5,
-                  sigmoid_output: bool = False) -> np.ndarray:
-    """Predicted class labels for each row of a feature matrix."""
-    return output_labels(forward_batch(params, inputs, sigmoid_output), threshold)
-
-
 def params_to_text(params: MlpParams) -> str:
     """Two-line serialization: "n m o" then the flat vector.
 
@@ -219,23 +204,34 @@ def params_to_text(params: MlpParams) -> str:
 
 
 def params_from_text(text: str, source: str = "<text>") -> MlpParams:
+    """Parse :func:`params_to_text` output. A vector of the wrong length is
+    rejected naming ``source`` and line 2, a value that is not a finite
+    number naming also its 1-based position."""
     lines = text.splitlines()
     if len(lines) < 2:
         raise ValueError(f"{source}: expected a topology line and a vector line")
     try:
         n, m, o = (int(tok) for tok in lines[0].split())
+        topology = MlpTopology(n, m, o)
     except ValueError as err:
-        raise ValueError(f"{source}: malformed topology line {lines[0]!r}") from err
-    topology = MlpTopology(n, m, o)
-    flat = np.array([float(tok) for tok in lines[1].split()], dtype=float)
-    return decode(flat, topology)
-
-
-def save_params(params: MlpParams, path) -> None:
-    """Write :func:`params_to_text` output to a file, atomically."""
-    write_text_atomic(path, params_to_text(params))
+        raise ValueError(f"{source}: malformed topology line {lines[0]!r}: {err}") from err
+    tokens = lines[1].split()
+    if len(tokens) != vector_dimension(topology):
+        raise ValueError(f"{source}: line 2 has {len(tokens)} values, expected "
+                         f"{vector_dimension(topology)} for topology ({n}, {m}, {o})")
+    values = []
+    for position, token in enumerate(tokens, start=1):
+        try:
+            value = float(token)
+            if not math.isfinite(value):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{source}: line 2, value {position}: cannot parse "
+                             f"{token!r} as a finite number") from None
+        values.append(value)
+    return decode(np.array(values, dtype=float), topology)
 
 
 def load_params(path) -> MlpParams:
-    """Read parameters written by :func:`save_params`."""
+    """Read a model file written by ``fdo-mlp train`` (:func:`params_to_text`)."""
     return params_from_text(Path(path).read_text(encoding="utf-8"), source=str(path))

@@ -79,23 +79,11 @@ class TrainingConfig:
                    threshold=threshold, sigmoid_output=sigmoid_output)
 
 
-@dataclass(frozen=True)
-class BpConfig:
-    """Snapshot of the backpropagation baseline's settings."""
-
-    topology: MlpTopology
-    learning_rate: float
-    epochs: int
-    threshold: float = 0.5
-    sigmoid_output: bool = False
-
-
 @dataclass(eq=False)
 class TrainedModel:
     params: MlpParams
     train_mse: float
     curve: ConvergenceCurve
-    config: TrainingConfig | BpConfig
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -187,8 +175,7 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
     objective = make_objective(config.topology, train_data, config.sigmoid_output)
     result = optimize(objective, config.fdo, _as_generator(rng) if rng is not None else None)
     params = decode(result.best_position, config.topology)
-    return TrainedModel(params=params, train_mse=result.best_fitness,
-                        curve=result.curve, config=config)
+    return TrainedModel(params=params, train_mse=result.best_fitness, curve=result.curve)
 
 
 def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
@@ -257,10 +244,8 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
             best_loss = loss
             best_params = params
         values.append(best_loss)
-    snapshot = BpConfig(topology=topology, learning_rate=learning_rate,
-                        epochs=epochs, sigmoid_output=sigmoid_output)
     return TrainedModel(params=best_params, train_mse=best_loss,
-                        curve=ConvergenceCurve(tuple(values)), config=snapshot)
+                        curve=ConvergenceCurve(tuple(values)))
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,13 @@ class TestEvaluate:
         assert run("evaluate", "--model", model, "--data", synth_csv) == 1
         assert "features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "abc"])
+    def test_model_value_that_is_not_finite_fails(self, synth_csv, tmp_path, capsys, token):
+        model = tmp_path / "model.txt"
+        model.write_text(f"3 1 1\n0.5 0.5 {token} 0.5 0.5 0.5\n")
+        assert run("evaluate", "--model", model, "--data", synth_csv) == 1
+        assert f"model.txt: line 2, value 3: cannot parse '{token}'" in capsys.readouterr().err
+
     def test_reference_fixture_prints_fold_one_metrics(self, tmp_path, capsys):
         """A model/dataset pair realizing tp=37 fp=0 fn=2 tn=18 prints the
         reference metric row 0.94 / 1.00 / 1.00 / 0.90 / 0.96."""

@@ -1,12 +1,12 @@
-"""Dataset ingestion, normalization, selection, splits, synthetic generation."""
+"""Dataset ingestion, normalization, selection, synthetic generation."""
 
 import os
 
 import numpy as np
 import pytest
 
-from fdo_mlp.data import (LabeledDataset, generate_synthetic, holdout_split,
-                          load_csv, min_max_normalize, normalize_with, save_csv,
+from fdo_mlp.data import (LabeledDataset, generate_synthetic, load_csv,
+                          min_max_normalize, normalize_with, save_csv,
                           select_features, write_text_atomic, xor_csv_path)
 
 
@@ -63,6 +63,14 @@ class TestLoadCsv:
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,b,label\n1,2,0\n3,4\n")
         with pytest.raises(ValueError, match="line 3"):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("header", ["a,a,label", "a,b, a,label", "a,label,label"])
+    def test_repeated_column_name_names_file_and_column(self, tmp_path, header):
+        name = "label" if header.endswith("label,label") else "a"
+        path = write(tmp_path, header + "\n" + ",".join(["1"] * header.count(",")) + ",0\n")
+        with pytest.raises(ValueError,
+                           match=rf"data.csv: column '{name}' appears twice in the header"):
             load_csv(path, "label")
 
 
@@ -144,44 +152,6 @@ class TestSelectFeatures:
         data = LabeledDataset(rng.normal(size=(6, 20)), rng.integers(0, 2, 6), names)
         kept = select_features(data, list(names[:18]))
         assert kept.n_features == 18
-
-
-class TestHoldoutSplit:
-    def test_reference_sizes(self):
-        rng = np.random.default_rng(51)
-        data = LabeledDataset(rng.normal(size=(287, 2)), rng.integers(0, 2, 287),
-                              ("a", "b"))
-        train, test = holdout_split(data, 0.8, np.random.default_rng(1))
-        assert train.n_samples == 230
-        assert test.n_samples == 57
-
-    def test_even_split(self):
-        rng = np.random.default_rng(52)
-        data = LabeledDataset(rng.normal(size=(10, 1)), rng.integers(0, 2, 10), ("a",))
-        train, test = holdout_split(data, 0.5, np.random.default_rng(2))
-        assert train.n_samples == test.n_samples == 5
-
-    def test_partition_multiset(self):
-        rng = np.random.default_rng(53)
-        data = LabeledDataset(rng.normal(size=(20, 2)), rng.integers(0, 2, 20),
-                              ("a", "b"))
-        train, test = holdout_split(data, 0.7, np.random.default_rng(3))
-        combined = np.vstack([train.features, test.features])
-        original = data.features[np.lexsort(data.features.T)]
-        recombined = combined[np.lexsort(combined.T)]
-        np.testing.assert_array_equal(original, recombined)
-
-    def test_reproducible(self):
-        rng = np.random.default_rng(54)
-        data = LabeledDataset(rng.normal(size=(12, 1)), rng.integers(0, 2, 12), ("a",))
-        a, _ = holdout_split(data, 0.5, np.random.default_rng(9))
-        b, _ = holdout_split(data, 0.5, np.random.default_rng(9))
-        np.testing.assert_array_equal(a.features, b.features)
-
-    def test_empty_side_rejected(self):
-        data = LabeledDataset(np.array([[1.0], [2.0]]), np.array([0, 1]), ("a",))
-        with pytest.raises(ValueError):
-            holdout_split(data, 0.01, np.random.default_rng(0))
 
 
 class TestGenerateSynthetic:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from fdo_mlp.cli import _crossval_csvs
 from fdo_mlp.data import LabeledDataset, generate_synthetic
-from fdo_mlp.evaluation import (ConfusionMatrix, auc, confusion_matrix,
-                                cross_validate, format_metric, kfold_splits,
-                                metrics, per_class_success, truncate_metric)
+from fdo_mlp.evaluation import (ConfusionMatrix, CrossValReport, FoldReport, auc,
+                                bp_trainer, confusion_matrix, cross_validate,
+                                format_metric, kfold_splits, metrics, truncate_metric)
 from fdo_mlp.mlp import MlpTopology
 from fdo_mlp.training import TrainingConfig
 
@@ -221,7 +222,7 @@ class TestCrossValidate:
         params = mlp.decode(np.linspace(-1.0, 1.0, 13), config.topology)
 
         def train(train_data, cfg, rng):
-            return TrainedModel(params, 0.25, ConvergenceCurve((0.25,)), cfg)
+            return TrainedModel(params, 0.25, ConvergenceCurve((0.25,)))
 
         calls = []
         real = mlp._forward_pass
@@ -229,6 +230,18 @@ class TestCrossValidate:
                             lambda *args: calls.append(1) or real(*args))
         cross_validate(data, 3, config, train=train)
         assert len(calls) == 2 * 3  # train rate and test score, per fold
+
+    def test_bp_trainer_calls_the_function_at_its_module_attribute(self, monkeypatch):
+        """A replacement for training.train_bp_mlp installed before the
+        trainer is built is the one cross-validation trains with."""
+        from fdo_mlp import training
+        calls = []
+        real = training.train_bp_mlp
+        monkeypatch.setattr(training, "train_bp_mlp",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        cross_validate(data, 3, tiny_config(2), train=bp_trainer(0.5, 3))
+        assert len(calls) == 3
 
     def test_deterministic(self):
         data = generate_synthetic(30, 2, 5.0, 0.5, np.random.default_rng(3))
@@ -238,26 +251,53 @@ class TestCrossValidate:
         assert [f.train_mse for f in a.folds] == [f.train_mse for f in b.folds]
 
 
+def class_success_rows(cms):
+    """``class_success.csv`` as the CLI writes it for folds with these
+    confusion matrices: {(fold, class): (total, correct, success_rate)}."""
+    folds = tuple(FoldReport(fold, 0, cm.total, 0.0, 0.0, 0.0, 0.0, cm, metrics(cm))
+                  for fold, cm in enumerate(cms, start=1))
+    lines = _crossval_csvs(CrossValReport(folds))["class_success.csv"].splitlines()
+    assert lines[0] == "fold,class,total,correct,success_rate"
+    rows = {}
+    for line in lines[1:]:
+        fold, name, total, correct, rate = line.split(",")
+        rows[fold, name] = (int(total), int(correct), rate)
+    assert len(rows) == 2 * len(cms) + 2
+    return rows
+
+
 class TestPerClassSuccess:
     def test_reference_fold(self):
         """37/37 positives and 18/20 negatives correct: 100% and 90%."""
-        report = per_class_success([ConfusionMatrix(tp=37, fp=2, fn=0, tn=18)])
-        positive, negative = report.per_fold[0]
-        assert positive.rate == 1.0
-        assert negative.rate == pytest.approx(0.9)
+        rows = class_success_rows([ConfusionMatrix(tp=37, fp=2, fn=0, tn=18)])
+        assert rows["1", "positive"] == (37, 37, "1.0")
+        total, correct, rate = rows["1", "negative"]
+        assert (total, correct) == (20, 18)
+        assert float(rate) == pytest.approx(0.9)
 
     def test_all_correct(self):
-        report = per_class_success([ConfusionMatrix(4, 0, 0, 6)])
-        positive, negative = report.per_fold[0]
-        assert positive.rate == 1.0 and negative.rate == 1.0
+        rows = class_success_rows([ConfusionMatrix(4, 0, 0, 6)])
+        assert rows["1", "positive"] == (4, 4, "1.0")
+        assert rows["1", "negative"] == (6, 6, "1.0")
+
+    def test_fold_without_positives_reads_na(self):
+        rows = class_success_rows([ConfusionMatrix(0, 3, 0, 5), ConfusionMatrix(2, 1, 2, 4)])
+        assert rows["1", "positive"] == (0, 0, "n/a")
+        assert rows["1", "negative"] == (8, 5, "0.625")
+        assert rows["total", "positive"] == (4, 2, "0.5")
+        assert rows["total", "negative"] == (13, 9, repr(9 / 13))
 
     def test_totals_cross_check_fuzz(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
             cms = [ConfusionMatrix(*(int(v) for v in rng.integers(0, 30, 4)))
                    for _ in range(5)]
-            report = per_class_success(cms)
-            assert report.total_positive.correct == sum(cm.tp for cm in cms)
-            assert report.total_positive.total == sum(cm.tp + cm.fn for cm in cms)
-            assert report.total_negative.correct == sum(cm.tn for cm in cms)
-            assert report.total_negative.total == sum(cm.tn + cm.fp for cm in cms)
+            rows = class_success_rows(cms)
+            positives = sum(cm.tp + cm.fn for cm in cms)
+            negatives = sum(cm.tn + cm.fp for cm in cms)
+            assert rows["total", "positive"][:2] == (positives, sum(cm.tp for cm in cms))
+            assert rows["total", "negative"][:2] == (negatives, sum(cm.tn for cm in cms))
+            assert float(rows["total", "positive"][2]) == pytest.approx(
+                sum(cm.tp for cm in cms) / positives)
+            assert float(rows["total", "negative"][2]) == pytest.approx(
+                sum(cm.tn for cm in cms) / negatives)

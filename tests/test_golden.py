@@ -97,6 +97,21 @@ def test_crossval_report_bytes(tmp_path):
         assert hashlib.sha256((tmp_path / "cv" / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_crossval_class_success_bytes(tmp_path):
+    """The same run's per-class counts and rates, recorded while they were
+    still built by their own per-class types rather than the fold metrics."""
+    data = tmp_path / "synth.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--samples", "40", "--features", "3",
+                     "--separation", "5", "--balance", "0.5", "--seed", "9",
+                     "--out", str(data)]) == 0
+        assert main(["crossval", "--data", str(data), "--k", "3",
+                     "--population", "6", "--iterations", "5", "--seed", "9",
+                     "--out-dir", str(tmp_path / "cv")]) == 0
+    assert hashlib.sha256((tmp_path / "cv" / "class_success.csv").read_bytes()).hexdigest() == (
+        "4062686ec0d0d8608ceb6d44ad76c8b1e1d099dc382058d7d4cd1854838c8caa")
+
+
 def _search(objective, lower, upper, dimension, **settings):
     config = FdoConfig(bounds=uniform_bounds(lower, upper, dimension), **settings)
     return optimize(objective, config)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from fdo_mlp.data import write_text_atomic
 from fdo_mlp.mlp import (MlpParams, MlpTopology, decode, encode, forward,
                          forward_batch, hidden_size_rule, load_params,
-                         params_from_text, predict_batch, predict_class,
-                         save_params, sigmoid, vector_dimension)
+                         output_labels, params_from_text, params_to_text,
+                         sigmoid, vector_dimension)
 
 
 def random_params(rng, topology, scale=1.0):
@@ -225,18 +226,17 @@ class TestForward:
 
 class TestPredict:
     def test_threshold(self):
-        assert predict_class([0.7], 0.5) == 1
-        assert predict_class([0.5], 0.5) == 1
-        assert predict_class([0.49], 0.5) == 0
+        labels = output_labels(np.array([[0.7], [0.5], [0.49]]), 0.5)
+        np.testing.assert_array_equal(labels, [1, 1, 0])
 
     def test_argmax(self):
-        assert predict_class([0.2, 0.9]) == 1
-        assert predict_class([0.9, 0.9]) == 0  # tie goes to the lowest index
+        labels = output_labels(np.array([[0.2, 0.9], [0.9, 0.9]]))
+        np.testing.assert_array_equal(labels, [1, 0])  # a tie goes to the lowest index
 
     def test_batch(self):
         params = decode(np.array([0.0, 0.0, 2.0, -0.5]), MlpTopology(1, 1, 1))
         # output is 2 * sigmoid(0) - 0.5 = 0.5 for any input
-        labels = predict_batch(params, np.array([[0.0], [1.0]]), threshold=0.5)
+        labels = output_labels(forward_batch(params, np.array([[0.0], [1.0]])), 0.5)
         np.testing.assert_array_equal(labels, [1, 1])
 
 
@@ -245,7 +245,7 @@ class TestSerialization:
         rng = np.random.default_rng(10)
         params = random_params(rng, MlpTopology(3, 7, 1), scale=9.0)
         path = tmp_path / "model.txt"
-        save_params(params, path)
+        write_text_atomic(path, params_to_text(params))
         again = load_params(path)
         np.testing.assert_array_equal(encode(again), encode(params))
 
@@ -253,6 +253,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="topology line"):
             params_from_text("a b c\n1.0 2.0\n")
 
+    def test_empty_layer_names_file_and_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("0 1 1\n1.0 2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"model\.txt: malformed topology line '0 1 1'"):
+            load_params(path)
+
     def test_truncated_file(self):
         with pytest.raises(ValueError):
             params_from_text("1 1 1\n")
+
+    @pytest.mark.parametrize("token", ["nan", "-inf", "inf", "abc"])
+    def test_bad_value_names_file_line_and_position(self, tmp_path, token):
+        path = tmp_path / "model.txt"
+        path.write_text(f"1 1 1\n0.5 -1.0 {token} 2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=rf"model\.txt: line 2, value 3: cannot parse '{token}'"):
+            load_params(path)
+
+    @pytest.mark.parametrize("count", [0, 3, 5])
+    def test_wrong_value_count_names_file_and_line(self, tmp_path, count):
+        path = tmp_path / "model.txt"
+        path.write_text("1 1 1\n" + " ".join(["0.5"] * count) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"model\.txt: line 2 has {count} values, "
+                                             r"expected 4 for topology \(1, 1, 1\)"):
+            load_params(path)
