@@ -5,7 +5,8 @@ backpropagation), ``evaluate`` (saved model against a dataset), ``crossval``
 (k-fold cross-validation) and ``benchmark`` (optimizer on a classical test
 function). Every command accepts ``--config FILE`` with one ``key = value``
 per line (``#`` starts a comment); keys mirror the long flag names and
-explicit flags win over the file. Unknown keys are rejected. Seeds default
+explicit flags win over the file. Unknown keys are rejected, and a required
+value (``data``, ``model``) may come from either place. Seeds default
 to a fixed constant so runs are reproducible out of the box, and all file
 output is written to a temporary file and renamed into place.
 """
@@ -13,6 +14,7 @@ output is written to a temporary file and renamed into place.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -21,12 +23,11 @@ import numpy as np
 from .benchmarks import benchmark_names, get_benchmark
 from .data import (LabeledDataset, generate_synthetic, load_csv,
                    min_max_normalize, save_csv, select_features, write_text_atomic)
-from .evaluation import (METRIC_NAMES, ConfusionMatrix, CrossValReport, bp_trainer,
-                         cross_validate, format_metric, metrics, score)
+from .evaluation import (METRIC_NAMES, ConfusionMatrix, CrossValReport, Trainer,
+                         bp_trainer, cross_validate, format_metric, metrics, score)
 from .fdo import DEFAULT_SEED, EvaluationError, FdoConfig, optimize, uniform_bounds
 from .mlp import MlpTopology, hidden_size_rule, load_params, params_to_text
-from .training import (TRAINING_PRESETS, TrainingConfig, run_statistics,
-                       train_bp_mlp, train_fdo_mlp)
+from .training import TrainingConfig, run_statistics, train_fdo_mlp
 
 
 class CliError(Exception):
@@ -35,6 +36,15 @@ class CliError(Exception):
 
 def _fmt(value) -> str:
     return "n/a" if value is None else repr(float(value))
+
+
+def finite_float(text: str) -> float:
+    """Type of every float flag. It raises ValueError, not argparse's own
+    error type, so a config file value fails with its key named too."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +104,16 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
         setattr(args, dest, _convert_config_value(actions[dest], key, raw))
 
 
+def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """argparse cannot require --data or --model, which the config file may
+    give; one that neither gives is a usage error (exit 2) after the merge."""
+    given = vars(args)
+    missing = [f"--{dest}" for dest in ("data", "model")
+               if dest in given and given[dest] is None]
+    if missing:
+        parser.error(f"the following arguments are required: {', '.join(missing)}")
+
+
 # ----------------------------------------------------------------------
 # Shared argument groups
 # ----------------------------------------------------------------------
@@ -107,33 +127,36 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", required=True, help="CSV dataset path")
+    parser.add_argument("--data", help="CSV dataset path (required)")
     parser.add_argument("--label-column", default="label",
                         help="name of the binary label column (default: label)")
     parser.add_argument("--keep-columns",
                         help="comma-separated feature columns to keep (default: all)")
 
 
+def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threshold", type=finite_float, default=0.5,
+                        help="decision threshold on the output unit (default 0.5)")
+    parser.add_argument("--output-activation", choices=("sigmoid", "linear"),
+                        default="sigmoid",
+                        help="output-unit activation for training and scoring; "
+                             "evaluate needs the model's own (default: sigmoid)")
+
+
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trainer", choices=("fdo", "bp"), default="fdo")
-    parser.add_argument("--preset", choices=tuple(TRAINING_PRESETS), default="short",
-                        help="search budget: short = 40 scouts x 75 iterations, "
-                             "long = 40 x 200")
-    parser.add_argument("--population", type=int, help="scout count (overrides preset)")
-    parser.add_argument("--iterations", type=int,
-                        help="iteration budget (overrides preset)")
-    parser.add_argument("--weight-factor", type=float, default=0.0)
-    parser.add_argument("--bounds", type=float, nargs=2, default=[-10.0, 10.0],
+    parser.add_argument("--population", type=int, default=40,
+                        help="scout count (default 40)")
+    parser.add_argument("--iterations", type=int, default=75,
+                        help="iteration budget (default 75)")
+    parser.add_argument("--weight-factor", type=finite_float, default=0.0)
+    parser.add_argument("--bounds", type=finite_float, nargs=2, default=[-10.0, 10.0],
                         metavar=("LOWER", "UPPER"),
                         help="search box for every weight (default: -10 10)")
     parser.add_argument("--hidden", type=int,
                         help="hidden units (default: 2 * features + 1)")
-    parser.add_argument("--threshold", type=float, default=0.5,
-                        help="decision threshold on the output unit")
-    parser.add_argument("--output-activation", choices=("sigmoid", "linear"),
-                        default="sigmoid",
-                        help="output-unit activation for training and scoring")
-    parser.add_argument("--learning-rate", type=float, default=0.5,
+    _add_scoring_args(parser)
+    parser.add_argument("--learning-rate", type=finite_float, default=0.5,
                         help="backpropagation step size")
     parser.add_argument("--epochs", type=int, default=5000,
                         help="backpropagation epochs")
@@ -152,9 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a synthetic two-cluster dataset")
     p.add_argument("--samples", type=int, default=287)
     p.add_argument("--features", type=int, default=18)
-    p.add_argument("--separation", type=float, default=6.0,
+    p.add_argument("--separation", type=finite_float, default=6.0,
                    help="distance between the class means")
-    p.add_argument("--balance", type=float, default=183 / 287,
+    p.add_argument("--balance", type=finite_float, default=183 / 287,
                    help="fraction of class-1 rows")
     p.add_argument("--out", help="output CSV path (default: OUT_DIR/dataset.csv)")
     _add_common(p)
@@ -168,12 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", allow_abbrev=False,
                        help="score a saved model against a dataset")
-    p.add_argument("--model", required=True, help="model file written by train")
+    p.add_argument("--model", help="model file written by train (required)")
     _add_data_args(p)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--output-activation", choices=("sigmoid", "linear"),
-                   default="sigmoid",
-                   help="must match the activation the model was trained with")
+    _add_scoring_args(p)
     _add_common(p)
 
     p = sub.add_parser("crossval", allow_abbrev=False, help="k-fold cross-validation")
@@ -188,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dimension", type=int, default=10)
     p.add_argument("--population", type=int, default=30)
     p.add_argument("--iterations", type=int, default=500)
-    p.add_argument("--weight-factor", type=float, default=0.0)
+    p.add_argument("--weight-factor", type=finite_float, default=0.0)
     p.add_argument("--repeats", type=int, default=10,
                    help="independent runs with derived seeds")
     _add_common(p)
@@ -208,25 +228,20 @@ def _load_dataset(args: argparse.Namespace, normalize: bool) -> LabeledDataset:
     return min_max_normalize(data) if normalize else data
 
 
-def _resolve_budget(args: argparse.Namespace) -> tuple[int, int]:
-    population, iterations = TRAINING_PRESETS[args.preset]
-    if args.population is not None:
-        population = args.population
-    if args.iterations is not None:
-        iterations = args.iterations
-    return population, iterations
-
-
 def _training_config(args: argparse.Namespace, n_features: int) -> TrainingConfig:
     hidden = args.hidden if args.hidden is not None else hidden_size_rule(n_features)
     topology = MlpTopology(inputs=n_features, hidden=hidden, outputs=1)
-    population, iterations = _resolve_budget(args)
     return TrainingConfig.for_topology(
-        topology, population=population, max_iterations=iterations,
+        topology, population=args.population, max_iterations=args.iterations,
         weight_factor=args.weight_factor,
         weight_bounds=(args.bounds[0], args.bounds[1]),
         seed=args.seed, threshold=args.threshold,
         sigmoid_output=args.output_activation == "sigmoid")
+
+
+def _trainer(args: argparse.Namespace) -> Trainer | None:
+    """Backprop for ``--trainer bp``; None for FDO, cross_validate's default."""
+    return bp_trainer(args.learning_rate, args.epochs) if args.trainer == "bp" else None
 
 
 def _metric_values(report) -> str:
@@ -259,12 +274,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     data = _load_dataset(args, normalize=True)
     config = _training_config(args, data.n_features)
-    if args.trainer == "fdo":
-        model = train_fdo_mlp(data, config)
-    else:
-        model = train_bp_mlp(data, config.topology, args.learning_rate,
-                             args.epochs, np.random.default_rng(args.seed),
-                             sigmoid_output=config.sigmoid_output)
+    # for FDO this is the stream optimize draws from config.seed
+    train = _trainer(args) or train_fdo_mlp
+    model = train(data, config, np.random.default_rng(args.seed))
     _, rate, _, report = score(model.params, data, args.threshold,
                                config.sigmoid_output)
 
@@ -334,8 +346,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         raise CliError("crossval needs k >= 2")
     data = _load_dataset(args, normalize=False)
     config = _training_config(args, data.n_features)
-    train = None if args.trainer == "fdo" else bp_trainer(args.learning_rate, args.epochs)
-    report = cross_validate(data, args.k, config, train=train)
+    report = cross_validate(data, args.k, config, train=_trainer(args))
 
     out_dir = Path(args.out_dir)
     for name, text in _crossval_csvs(report).items():
@@ -403,6 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(action, argparse._SubParsersAction)).choices[args.command]
     try:
         _apply_config(args, subparser, argv)
+        _check_required(args, subparser)
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, OSError, EvaluationError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -174,19 +174,19 @@ def _apply_state(features: np.ndarray, state: NormalizationState) -> np.ndarray:
 
 
 def select_features(data: LabeledDataset, keep: Sequence[str]) -> LabeledDataset:
-    """Column-filter a dataset, preserving the order of ``keep``."""
+    """Column-filter a dataset before normalization, preserving the order of
+    ``keep``."""
     if not keep:
         raise ValueError("keep must name at least one column")
     indices = []
     for name in keep:
         if name not in data.column_names:
             raise ValueError(f"unknown column {name!r}")
+        if keep.count(name) > 1:
+            raise ValueError(f"column {name!r} is kept more than once")
         indices.append(data.column_names.index(name))
-    state = data.normalization
-    if state is not None:
-        state = NormalizationState(mins=state.mins[indices], maxs=state.maxs[indices])
     return LabeledDataset(data.features[:, indices].copy(), data.labels.copy(),
-                          tuple(keep), state)
+                          tuple(keep))
 
 
 def generate_synthetic(samples: int, features: int, class_separation: float,

@@ -27,20 +27,13 @@ from .mlp import sigmoid  # noqa: F401  unused, but perfbench/tracing.py patches
 #: 37-unit network of the 5-fold pipeline, all 40 scouts at once on XOR.
 _CHUNK_BYTES = 512 * 1024
 
-#: Stock search budgets (scouts, iterations). "short" is the default.
-TRAINING_PRESETS: dict[str, tuple[int, int]] = {
-    "short": (40, 75),
-    "long": (40, 200),
-}
-
-
 @dataclass(frozen=True)
 class TrainingConfig:
     """Couples an optimizer configuration to a network topology.
 
     The optimizer's search space must have exactly one dimension per network
     parameter; :meth:`for_topology` builds a consistent pair from a uniform
-    weight box.
+    weight box ``lower < upper``.
 
     ``sigmoid_output`` defaults to on: squashing the output unit bounds the
     MSE objective to [0, 1], which the black-box search needs to make
@@ -51,14 +44,10 @@ class TrainingConfig:
 
     fdo: FdoConfig
     topology: MlpTopology
-    weight_bounds: tuple[float, float] = (-10.0, 10.0)
     threshold: float = 0.5
     sigmoid_output: bool = True
 
     def __post_init__(self):
-        lo, hi = self.weight_bounds
-        if not lo < hi:
-            raise ValueError(f"weight_bounds are reversed: ({lo}, {hi})")
         if self.fdo.dimension != vector_dimension(self.topology):
             raise ValueError(
                 f"optimizer searches {self.fdo.dimension} dimensions but the "
@@ -70,13 +59,16 @@ class TrainingConfig:
                      weight_bounds: tuple[float, float] = (-10.0, 10.0),
                      seed: int = DEFAULT_SEED, threshold: float = 0.5,
                      sigmoid_output: bool = True) -> "TrainingConfig":
-        bounds = uniform_bounds(weight_bounds[0], weight_bounds[1],
-                                vector_dimension(topology))
-        fdo = FdoConfig(bounds=bounds, population=population,
-                        max_iterations=max_iterations,
+        lo, hi = weight_bounds
+        if lo == hi:
+            raise ValueError(f"weight_bounds are equal: ({lo}, {hi}) leaves no box to search")
+        if not lo < hi:
+            raise ValueError(f"weight_bounds are reversed: ({lo}, {hi})")
+        fdo = FdoConfig(bounds=uniform_bounds(lo, hi, vector_dimension(topology)),
+                        population=population, max_iterations=max_iterations,
                         weight_factor=weight_factor, seed=seed)
-        return cls(fdo=fdo, topology=topology, weight_bounds=weight_bounds,
-                   threshold=threshold, sigmoid_output=sigmoid_output)
+        return cls(fdo=fdo, topology=topology, threshold=threshold,
+                   sigmoid_output=sigmoid_output)
 
 
 @dataclass(eq=False)

@@ -1,13 +1,18 @@
 """Command-line behaviour: files, formats, determinism, configuration."""
 
 import csv
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdo_mlp.cli import main
-from fdo_mlp.data import load_csv, xor_csv_path
-from fdo_mlp.mlp import load_params
+from fdo_mlp.cli import build_parser, main
+from fdo_mlp.data import load_csv, min_max_normalize, xor_csv_path
+from fdo_mlp.mlp import MlpTopology, load_params, params_to_text
+from fdo_mlp.training import TrainingConfig, train_fdo_mlp
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(*argv):
@@ -73,6 +78,32 @@ class TestTrain:
         lines = (out / "convergence.csv").read_text().splitlines()
         assert len(lines) == 81
 
+    def test_default_budget_is_40_scouts_by_75_iterations(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--data", xor_csv_path(), "--seed", 3, "--out-dir", out) == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 76
+
+    def test_fdo_run_is_the_library_run_seeded_from_config(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--data", xor_csv_path(), "--population", 9,
+                   "--iterations", 11, "--seed", 5, "--out-dir", out) == 0
+        config = TrainingConfig.for_topology(MlpTopology(2, 5, 1), population=9,
+                                             max_iterations=11, seed=5)
+        model = train_fdo_mlp(min_max_normalize(load_csv(xor_csv_path(), "label")), config)
+        assert (out / "model.txt").read_text() == params_to_text(model.params)
+
+    def test_repeated_keep_column_rejected(self, synth_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--data", synth_csv, "--keep-columns", "f01,f01",
+                   "--out-dir", out) == 1
+        assert "column 'f01' is kept more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equal_bounds_named_equal(self, tmp_path, capsys):
+        assert run("train", "--data", xor_csv_path(), "--bounds", 5, 5,
+                   "--out-dir", tmp_path / "run") == 1
+        assert "weight_bounds are equal" in capsys.readouterr().err
+
     def test_missing_data_errors(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path / "nope.csv",
                    "--out-dir", tmp_path) == 1
@@ -127,6 +158,89 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert run("train", "--data", xor_csv_path(), "--config", cfg,
                    "--out-dir", out) == 0
+
+    def test_required_data_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {xor_csv_path()}\npopulation = 5\niterations = 3\n")
+        out = tmp_path / "run"
+        assert run("train", "--config", cfg, "--out-dir", out) == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 4
+
+    def test_required_model_from_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        run("train", "--data", xor_csv_path(), "--population", 5,
+            "--iterations", 3, "--out-dir", out)
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"model = {out / 'model.txt'}\ndata = {xor_csv_path()}\n")
+        assert run("evaluate", "--config", cfg) == 0
+        assert "accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag", [("train", "--data"),
+                                               ("evaluate", "--model")])
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_required_value_given_nowhere_is_a_usage_error(
+            self, tmp_path, capsys, command, flag, with_config):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        argv = [command, "--out-dir", tmp_path / "never"]
+        if command == "evaluate":
+            argv += ["--data", xor_csv_path()]
+        if with_config:
+            argv += ["--config", cfg]
+        with pytest.raises(SystemExit) as exit_info:
+            run(*argv)
+        assert exit_info.value.code == 2
+        assert f"the following arguments are required: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_non_finite_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold = nan\n")
+        out = tmp_path / "never"
+        assert run("train", "--data", xor_csv_path(), "--config", cfg,
+                   "--out-dir", out) == 1
+        assert "configuration key 'threshold': cannot parse 'nan'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteFloats:
+    """Every float flag rejects nan and infinities before the command runs,
+    with argparse's usage error naming the flag."""
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--separation"), ("generate", "--balance"),
+        ("train", "--weight-factor"), ("train", "--bounds"),
+        ("train", "--threshold"), ("train", "--learning-rate"),
+        ("crossval", "--threshold"), ("evaluate", "--threshold"),
+        ("benchmark", "--weight-factor")])
+    def test_flag_rejected(self, tmp_path, capsys, command, flag, token):
+        out = tmp_path / "never"
+        argv = {"generate": ["--out", out / "data.csv"],
+                "train": ["--data", xor_csv_path()],
+                "crossval": ["--data", xor_csv_path()],
+                "evaluate": ["--model", out / "model.txt", "--data", xor_csv_path()],
+                "benchmark": []}[command]
+        values = ["-1", token] if flag == "--bounds" else [token]
+        with pytest.raises(SystemExit) as exit_info:
+            run(command, *argv, flag, *values, "--out-dir", out)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReadme:
+    def test_every_command_line_parses(self):
+        """A flag removed from the parser cannot stay in the README."""
+        lines = [line.strip() for line in README.read_text(encoding="utf-8").splitlines()
+                 if line.strip().startswith("fdo-mlp ")]
+        assert len(lines) >= 6
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
 
 
 class TestEvaluate:

@@ -140,6 +140,10 @@ class TestSelectFeatures:
         with pytest.raises(ValueError, match="unknown column"):
             select_features(self.make(), ["a", "zz"])
 
+    def test_repeated_column_rejected(self):
+        with pytest.raises(ValueError, match="column 'b' is kept more than once"):
+            select_features(self.make(), ["a", "b", "b"])
+
     def test_order_preserved(self):
         data = self.make()
         kept = select_features(data, ["d", "a"])

@@ -52,6 +52,10 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match="reversed"):
             TrainingConfig.for_topology(MlpTopology(2, 3, 1), weight_bounds=(5.0, -5.0))
 
+    def test_equal_weight_bounds_rejected_as_equal(self):
+        with pytest.raises(ValueError, match="equal"):
+            TrainingConfig.for_topology(MlpTopology(2, 3, 1), weight_bounds=(5.0, 5.0))
+
     def test_factory_dimensions_consistent(self):
         config = TrainingConfig.for_topology(MlpTopology(3, 7, 1))
         assert config.fdo.dimension == vector_dimension(config.topology)
