@@ -10,6 +10,7 @@ a recomputation on the returned parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,6 +61,8 @@ class TrainingConfig:
                      seed: int = DEFAULT_SEED, threshold: float = 0.5,
                      sigmoid_output: bool = True) -> "TrainingConfig":
         lo, hi = weight_bounds
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"weight_bounds must be finite: ({lo}, {hi})")
         if lo == hi:
             raise ValueError(f"weight_bounds are equal: ({lo}, {hi}) leaves no box to search")
         if not lo < hi:
@@ -100,8 +103,13 @@ def _target_matrix(labels: np.ndarray, outputs: int) -> np.ndarray:
 def _mse(residuals: np.ndarray):
     """Mean over rows of the summed squares of a (samples, outputs) residual
     matrix, as a float, or one value per slice of a (c, samples, outputs)
-    stack: the one MSE expression every caller shares."""
-    values = np.mean(np.sum(residuals ** 2, axis=-1), axis=-1)
+    stack: the one MSE expression every caller shares.
+
+    The two reductions and the division by the row count are what
+    ``np.mean(np.sum(residuals ** 2, axis=-1), axis=-1)`` runs, with the
+    same bits and without its Python-level overhead."""
+    totals = np.add.reduce(np.add.reduce(np.square(residuals), axis=-1), axis=-1)
+    values = totals / residuals.shape[-2]
     return float(values) if values.ndim == 0 else values
 
 
@@ -170,30 +178,55 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
     return TrainedModel(params=params, train_mse=result.best_fitness, curve=result.curve)
 
 
+def _backprop_work(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
+    """The (rows, hidden) arrays one :func:`_loss_and_gradient` pass computes
+    in: the forward pass's pre-activation, activation and bool mask, then
+    ``d_hidden``."""
+    layer = (rows, hidden)
+    return np.empty(layer), np.empty(layer), np.empty(layer, dtype=bool), np.empty(layer)
+
+
 def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
-                       sigmoid_output: bool) -> tuple[float, MlpParams]:
+                       sigmoid_output: bool, work: tuple[np.ndarray, ...]
+                       ) -> tuple[float, tuple[np.ndarray, ...]]:
     """:func:`mse_fitness` and its gradient from one forward pass over the
-    features ``x`` against a prebuilt :func:`_target_matrix`."""
-    hidden, out = _forward_pass(params, x, sigmoid_output)
+    features ``x`` against a prebuilt :func:`_target_matrix`.
+
+    The gradient comes as four fresh arrays laid out like the params. Every
+    hidden-layer-sized value is computed in ``work``, from
+    :func:`_backprop_work`, so a call allocates only arrays of the size of
+    the output layer and of the gradient.
+
+    ``d_out @ V.T`` stays a matrix product even with one output unit: where
+    a zero of ``d_out`` meets a negative weight, BLAS returns +0 and the
+    elementwise outer product -0.
+    """
+    pre, hidden, mask, d_hidden = work
+    hidden, out = _forward_pass(params, x, sigmoid_output, (pre, hidden, mask))
     residuals = out - targets
     loss = _mse(residuals)
     d_out = (2.0 / x.shape[0]) * residuals
     if sigmoid_output:
-        d_out = d_out * out * (1.0 - out)
-    grad_v = hidden.T @ d_out
-    grad_bo = d_out.sum(axis=0)
-    d_hidden = (d_out @ params.hidden_output_weights.T) * hidden * (1.0 - hidden)
-    grad_w = x.T @ d_hidden
-    grad_bh = d_hidden.sum(axis=0)
-    return loss, MlpParams(grad_w, grad_bh, grad_v, grad_bo)
+        d_out *= out
+        d_out *= 1.0 - out
+    np.matmul(d_out, params.hidden_output_weights.T, out=d_hidden)
+    d_hidden *= hidden
+    # the pre-activation is spent: sigmoid left it holding 1 + exp(-|s|)
+    d_hidden *= np.subtract(1.0, hidden, out=pre)
+    return loss, (x.T @ d_hidden, d_hidden.sum(axis=0),
+                  hidden.T @ d_out, d_out.sum(axis=0))
 
 
 def mse_gradient(params: MlpParams, data: LabeledDataset,
                  sigmoid_output: bool = False) -> MlpParams:
     """Analytic gradient of :func:`mse_fitness`, arranged like the params;
     the gradient half of the loss-and-gradient pass backprop trains with."""
-    targets = _target_matrix(data.labels, params.hidden_output_weights.shape[1])
-    return _loss_and_gradient(params, data.features, targets, sigmoid_output)[1]
+    topology = params.topology
+    _check_dataset(topology, data)
+    targets = _target_matrix(data.labels, topology.outputs)
+    work = _backprop_work(data.n_samples, topology.hidden)
+    return MlpParams(*_loss_and_gradient(params, data.features, targets,
+                                         sigmoid_output, work)[1])
 
 
 def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
@@ -206,6 +239,10 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     over all epochs (including the initial ones) are returned, and the curve
     tracks the best MSE seen after each epoch. A non-finite loss aborts the
     run with the offending epoch in the message.
+
+    The run updates one set of parameter arrays in place and copies them
+    into the returned best arrays only when the loss strictly improves; the
+    hidden layer is computed in work arrays allocated once per run.
     """
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be non-negative")
@@ -214,29 +251,29 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     _check_dataset(topology, train_data)
     gen = _as_generator(rng)
     n, m, o = topology.inputs, topology.hidden, topology.outputs
-    params = MlpParams(gen.uniform(-0.5, 0.5, (n, m)), gen.uniform(-0.5, 0.5, m),
-                       gen.uniform(-0.5, 0.5, (m, o)), gen.uniform(-0.5, 0.5, o))
+    weights = (gen.uniform(-0.5, 0.5, (n, m)), gen.uniform(-0.5, 0.5, m),
+               gen.uniform(-0.5, 0.5, (m, o)), gen.uniform(-0.5, 0.5, o))
+    params = MlpParams(*weights)
     x = train_data.features
     targets = _target_matrix(train_data.labels, o)
-    best_params = params
-    best_loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output)
+    work = _backprop_work(train_data.n_samples, m)
+    best = tuple(w.copy() for w in weights)
+    best_loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output, work)
     values: list[float] = []
     for epoch in range(1, epochs + 1):
-        params = MlpParams(
-            params.input_hidden_weights - learning_rate * grads.input_hidden_weights,
-            params.hidden_biases - learning_rate * grads.hidden_biases,
-            params.hidden_output_weights - learning_rate * grads.hidden_output_weights,
-            params.output_biases - learning_rate * grads.output_biases,
-        )
+        for w, g in zip(weights, grads):
+            g *= learning_rate  # w - g * lr has the bits of w - lr * g
+            w -= g
         # the gradient for the next epoch comes from the pass that scores these params
-        loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output)
-        if not np.isfinite(loss):
+        loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output, work)
+        if not math.isfinite(loss):
             raise EvaluationError(f"training diverged at epoch {epoch}")
         if loss < best_loss:
             best_loss = loss
-            best_params = params
+            for kept, w in zip(best, weights):
+                np.copyto(kept, w)
         values.append(best_loss)
-    return TrainedModel(params=best_params, train_mse=best_loss,
+    return TrainedModel(params=MlpParams(*best), train_mse=best_loss,
                         curve=ConvergenceCurve(tuple(values)))
 
 

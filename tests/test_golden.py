@@ -5,7 +5,9 @@ Each test replays a seeded run and compares its curve (as the sha256 of the
 with figures recorded before the forward and scoring paths were merged.
 The optimizer runs after those (weight factors, a single scout, zero
 fitness, the XOR search) also pin the evaluation count and the best
-position, and were recorded before the swarm was held as arrays.
+position, and were recorded before the swarm was held as arrays. The
+backprop runs' best-params digests and the sigmoid-output backprop run were
+recorded before the backprop epoch reused its arrays.
 A failure means a change altered seeded arithmetic, not that training got
 worse.
 
@@ -171,3 +173,31 @@ def test_xor_search_seed_zero():
     _assert_run(result, "0.00020889974501243718", 14346,
                 "c7ba75d7089eb7ace1a061f4ff9c6600fe3b62176cc7a26bb55bd652f0bb4b2a",
                 "6ac2c6ec8e9d65913e37fb792bf31daa19a6b1f8347c74b6f449e3cb0ae9b8fc")
+
+
+def _params_digest(params) -> str:
+    """sha256 of the four parameter arrays' bytes, in field order."""
+    arrays = (params.input_hidden_weights, params.hidden_biases,
+              params.hidden_output_weights, params.output_biases)
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def test_backprop_fold_one_500_epochs_best_params():
+    """The linear run above stops improving long before epoch 500, so its
+    best params are those of an earlier epoch, not the last update."""
+    train, rng = _criterion_7_fold_one()
+    model = train_bp_mlp(train, TOPOLOGY, 0.5, 500, rng)
+    assert _params_digest(model.params) == (
+        "7ee872cacfec45d48875eaf11856774c09b47910014f8a2a58b057969155a97c")
+
+
+def test_backprop_fold_one_500_epochs_sigmoid_output():
+    """The d_out * out * (1 - out) branch of the gradient."""
+    train, rng = _criterion_7_fold_one()
+    model = train_bp_mlp(train, TOPOLOGY, 0.5, 500, rng, sigmoid_output=True)
+    assert repr(model.train_mse) == "0.011403162237117355"
+    assert len(model.curve) == 500
+    assert _digest(model.curve.values) == (
+        "e1e09c343a8e83aa4a8863383637a03e82b5990effc24d37d88f0506770e6ba8")
+    assert _params_digest(model.params) == (
+        "3445ea4c31ec092b03af0f9b6236273b422646df329f786585e8a0815a817d03")

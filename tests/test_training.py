@@ -1,12 +1,16 @@
 """Trainer tests: the MSE objective, both trainers, and run statistics."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fdo_mlp.data import LabeledDataset
+from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
 from fdo_mlp.fdo import EvaluationError
-from fdo_mlp.mlp import MlpTopology, decode, encode, forward_batch, vector_dimension
-from fdo_mlp.training import (TrainingConfig, make_objective, mse_fitness,
+from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, decode, encode,
+                         forward_batch, vector_dimension)
+from fdo_mlp.training import (TrainingConfig, _backprop_work, _loss_and_gradient,
+                              _mse, _target_matrix, make_objective, mse_fitness,
                               mse_gradient, run_statistics, train_bp_mlp,
                               train_fdo_mlp)
 
@@ -56,6 +60,14 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match="equal"):
             TrainingConfig.for_topology(MlpTopology(2, 3, 1), weight_bounds=(5.0, 5.0))
 
+    @pytest.mark.parametrize("bounds", [(math.nan, 1.0), (-1.0, math.nan),
+                                        (-math.inf, 1.0), (-1.0, math.inf),
+                                        (math.inf, 1.0), (-1.0, -math.inf),
+                                        (math.inf, math.inf)])
+    def test_non_finite_weight_bounds_named(self, bounds):
+        with pytest.raises(ValueError, match="weight_bounds must be finite"):
+            TrainingConfig.for_topology(MlpTopology(2, 3, 1), weight_bounds=bounds)
+
     def test_factory_dimensions_consistent(self):
         config = TrainingConfig.for_topology(MlpTopology(3, 7, 1))
         assert config.fdo.dimension == vector_dimension(config.topology)
@@ -99,6 +111,34 @@ class TestMseFitness:
         data = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b", "c"))
         with pytest.raises(ValueError):
             mse_fitness(params, data)
+
+
+class TestMse:
+    SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.nan, math.inf, -math.inf,
+                1e200, -1e155)
+
+    @pytest.mark.parametrize("shape", [(7, 3), (9, 1), (4, 7, 3), (5, 6, 1)])
+    def test_bitwise_equal_to_mean_of_sums(self, shape):
+        """Signed zeros, subnormals, NaN, infinities and squares that
+        overflow, bit for bit against the numpy expression it replaces."""
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(60):
+            residuals = rng.normal(size=shape) * 10.0 ** rng.integers(-170, 170, shape)
+            special = rng.random(shape) < 0.25
+            residuals[special] = rng.choice(self.SPECIALS, int(special.sum()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = np.mean(np.sum(residuals ** 2, axis=-1), axis=-1)
+                got = _mse(residuals)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            assert type(got) is (float if len(shape) == 2 else np.ndarray)
+
+    def test_special_rows(self):
+        for value in self.SPECIALS:
+            residuals = np.full((3, 2), value)
+            with np.errstate(over="ignore"):
+                expected = np.mean(np.sum(residuals ** 2, axis=-1), axis=-1)
+                got = _mse(residuals)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes(), value
 
 
 def chunk_size(topology, samples):
@@ -228,6 +268,98 @@ class TestTrainFdoMlp:
                                    sigmoid_output=config.sigmoid_output) == 1.0
 
 
+def allocating_loss_and_gradient(params, x, targets, sigmoid_output):
+    """Reference: the loss-and-gradient expression of the backprop epoch
+    before it computed in reused arrays, and its hidden-layer delta."""
+    hidden, out = _forward_pass(params, x, sigmoid_output)
+    residuals = out - targets
+    loss = float(np.mean(np.sum(residuals ** 2, axis=-1), axis=-1))
+    d_out = (2.0 / x.shape[0]) * residuals
+    if sigmoid_output:
+        d_out = d_out * out * (1.0 - out)
+    d_hidden = (d_out @ params.hidden_output_weights.T) * hidden * (1.0 - hidden)
+    return loss, (x.T @ d_hidden, d_hidden.sum(axis=0), hidden.T @ d_out,
+                  d_out.sum(axis=0)), d_hidden
+
+
+def stale_work(rows, hidden):
+    """Work arrays holding values a pass must never read."""
+    work = _backprop_work(rows, hidden)
+    for array in work:
+        array.fill(True if array.dtype == bool else math.nan)
+    return work
+
+
+def constant_hidden_params(inputs, output_bias):
+    """Zero input weights and hidden biases, so every hidden unit reads 0.5
+    on every row; output weights with negative entries whose products with
+    0.5 and their sum are exact, so the raw output is exactly 0 for
+    ``output_bias`` 0.625."""
+    return MlpParams(np.zeros((inputs, 3)), np.zeros(3),
+                     np.array([[-1.5], [0.5], [-0.25]]), np.array([output_bias]))
+
+
+class TestLossAndGradient:
+    def assert_matches_reference(self, params, x, targets, flag):
+        """Loss, gradients and the hidden-layer delta the pass leaves in its
+        last work array, bit for bit."""
+        work = stale_work(x.shape[0], params.hidden_biases.shape[0])
+        loss, grads = _loss_and_gradient(params, x, targets, flag, work)
+        ref_loss, ref_grads, ref_d_hidden = allocating_loss_and_gradient(params, x,
+                                                                         targets, flag)
+        assert repr(loss) == repr(ref_loss)
+        for got, expected in zip((*grads, work[3]), (*ref_grads, ref_d_hidden)):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        return grads
+
+    def test_bits_match_allocating_reference_fuzz(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            topology = MlpTopology(int(rng.integers(1, 6)), int(rng.integers(1, 9)),
+                                   int(rng.integers(1, 3)))
+            data = random_dataset(rng, int(rng.integers(2, 12)), topology.inputs)
+            targets = _target_matrix(data.labels, topology.outputs)
+            for flag in (False, True):
+                params = random_params(rng, topology, scale=float(rng.choice([0.5, 3.0])))
+                self.assert_matches_reference(params, data.features, targets, flag)
+
+    @pytest.mark.parametrize("labels, flag, output_bias", [
+        ([0, 0, 0, 0, 0], False, 0.625),  # every residual +0
+        ([0, 1, 0, 1, 1], False, 0.625),  # label-0 rows +0
+        ([0, 1, 0, 1, 1], True, 100.0),   # output 1.0: every d_out +0
+    ])
+    def test_zero_d_out_against_negative_weights(self, labels, flag, output_bias):
+        """Where d_out is exactly zero and V negative, the reference's
+        matrix product d_out @ V.T gives +0 and an elementwise product -0.
+        The -0 would stay inside the hidden-layer delta (both of its
+        reductions start from +0), so the delta is compared too."""
+        x = np.random.default_rng(24).uniform(0, 1, (5, 2))
+        targets = _target_matrix(np.array(labels), 1)
+        params = constant_hidden_params(2, output_bias)
+        self.assert_matches_reference(params, x, targets, flag)
+
+    def test_mse_gradient_wraps_the_pass(self):
+        rng = np.random.default_rng(25)
+        topology = MlpTopology(3, 4, 2)
+        data = random_dataset(rng, 7, 3)
+        params = random_params(rng, topology)
+        targets = _target_matrix(data.labels, 2)
+        for flag in (False, True):
+            grad = mse_gradient(params, data, flag)
+            expected = allocating_loss_and_gradient(params, data.features, targets, flag)[1]
+            assert encode(grad).tobytes() == encode(MlpParams(*expected)).tobytes()
+
+    def test_mse_gradient_rejects_what_mse_fitness_rejects(self):
+        params = decode(np.zeros(4), MlpTopology(1, 1, 1))
+        empty = LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), ("x",))
+        wide = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="empty"):
+            mse_gradient(params, empty)
+        with pytest.raises(ValueError, match="3 features but the network expects 1"):
+            mse_gradient(params, wide)
+
+
 class TestTrainBpMlp:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(17)
@@ -274,6 +406,43 @@ class TestTrainBpMlp:
                              np.random.default_rng(4))
         assert model.train_mse == pytest.approx(
             mse_fitness(model.params, XOR), abs=1e-12)
+
+    @pytest.mark.parametrize("flag, learning_rate", [(False, 0.9), (True, 100.0)])
+    def test_best_params_are_owned_and_rescore_exactly(self, monkeypatch, flag,
+                                                       learning_rate):
+        """A run whose loss rises after its best epoch returns that epoch's
+        params: they rescore to train_mse exactly, share no memory with the
+        arrays the run updates, and a second run leaves them unchanged."""
+        from fdo_mlp import training
+        data = min_max_normalize(generate_synthetic(60, 4, 6.0, 0.6,
+                                                    np.random.default_rng(7)))
+        topology = MlpTopology(4, 9, 1)
+        live, losses = [], []
+        real = training._loss_and_gradient
+
+        def recording(params, *args):
+            live.append(params)
+            loss, grads = real(params, *args)
+            losses.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(training, "_loss_and_gradient", recording)
+        model = train_bp_mlp(data, topology, learning_rate, 250,
+                             np.random.default_rng(3), sigmoid_output=flag)
+        best_epoch = losses.index(model.train_mse)
+        assert 0 < best_epoch < 250
+        assert max(losses[best_epoch + 1:]) > model.train_mse
+        assert model.train_mse == mse_fitness(model.params, data, flag)
+        kept = encode(model.params)
+        returned = (model.params.input_hidden_weights, model.params.hidden_biases,
+                    model.params.hidden_output_weights, model.params.output_biases)
+        updated = (live[-1].input_hidden_weights, live[-1].hidden_biases,
+                   live[-1].hidden_output_weights, live[-1].output_biases)
+        assert not any(np.shares_memory(a, b) for a in returned for b in updated)
+        again = train_bp_mlp(data, topology, learning_rate, 250,
+                             np.random.default_rng(3), sigmoid_output=flag)
+        assert encode(model.params).tobytes() == kept.tobytes()
+        assert encode(again.params).tobytes() == kept.tobytes()
 
     def test_one_forward_pass_per_epoch(self, monkeypatch):
         from fdo_mlp import mlp, training
