@@ -120,11 +120,13 @@ class FdoConfig:
         return len(self.bounds)
 
     @cached_property
-    def _box(self) -> np.ndarray:
-        """The bounds as a read-only ``(d, 2)`` array, built once."""
-        box = np.array(self.bounds, dtype=float)
-        box.flags.writeable = False
-        return box
+    def _limits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and the upper bounds as two read-only, contiguous
+        ``(d,)`` rows, built once."""
+        rows = tuple(np.array(column, dtype=float) for column in zip(*self.bounds))
+        for row in rows:
+            row.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)
@@ -159,14 +161,31 @@ def uniform_bounds(lower: float, upper: float, dimension: int) -> tuple[tuple[fl
 def clamp_to_bounds(position: np.ndarray,
                     bounds: Sequence[tuple[float, float]] | np.ndarray) -> np.ndarray:
     """Project every component of a ``(d,)`` position, or of every row of a
-    ``(k, d)`` matrix of positions, into its [lower, upper] range."""
-    position = np.asarray(position, dtype=float)
+    ``(k, d)`` matrix of positions, into its [lower, upper] range, given as
+    one ``(lower, upper)`` pair per dimension. Returns a new array."""
+    position = np.array(position, dtype=float)
     box = np.asarray(bounds, dtype=float)
+    if box.ndim != 2 or box.shape[1] != 2:
+        raise ValueError(f"bounds have shape {box.shape}: expected (d, 2), one "
+                         "(lower, upper) pair per dimension")
     d = box.shape[0]
     if position.ndim not in (1, 2) or position.shape[-1] != d:
         raise ValueError(f"position has shape {position.shape} but bounds cover "
                          f"{d} dimensions: expected ({d},) or (k, {d})")
-    return np.clip(position, box[:, 0], box[:, 1])
+    return _clamp_in_place(position, box[:, 0], box[:, 1])
+
+
+def _clamp_in_place(rows: np.ndarray, lower: np.ndarray,
+                    upper: np.ndarray) -> np.ndarray:
+    """Clamp ``rows`` into [lower, upper] in place and return it.
+
+    Against contiguous ``(d,)`` bound rows this costs a fraction of
+    ``np.clip`` against the strided columns of a ``(d, 2)`` box. It gives
+    the bits of ``np.clip(rows, lower, upper)`` on NaN, infinities,
+    subnormals and signed zeros, which ``tests/test_fdo.py`` pins.
+    """
+    np.maximum(rows, lower, out=rows)
+    return np.minimum(rows, upper, out=rows)
 
 
 def fitness_weight(fitness: np.ndarray | float, global_best_fitness: float,
@@ -185,20 +204,32 @@ def compute_pace(positions: np.ndarray, best_position: np.ndarray,
                  fw: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Displacement of every scout (row) given its fitness weight.
 
-    ``r`` holds one draw in [-1, 1] per scout and dimension. For fw outside
+    ``positions`` is ``(P, d)``, ``best_position`` ``(d,)``, ``fw`` holds
+    one weight per scout ``(P,)`` and ``r`` one draw in [-1, 1] per scout
+    and dimension ``(P, d)``; any other shape is rejected. For fw outside
     the open interval (0, 1) the pace is the scout's own position scaled
     componentwise by r. Otherwise each component moves toward the global
     best (r < 0) or away from it (r >= 0) by fw times the distance along
     that axis.
     """
-    if positions.shape[1:] != best_position.shape:
-        raise ValueError("scouts and global best have different dimensions")
+    shape = np.shape(positions)
+    received = (shape, np.shape(best_position), np.shape(fw), np.shape(r))
+    if len(shape) != 2 or received[1:] != (shape[1:], shape[:1], shape):
+        raise ValueError(
+            "positions, best_position, fw and r must have shapes (P, d), (d,), "
+            f"(P,) and (P, d); got {', '.join(map(str, received))}")
     toward = (0.0 < fw) & (fw < 1.0)
+    # The signed factor is -fw where r < 0 and fw elsewhere, built by
+    # arithmetic: a masked negate branches on every element of a random
+    # mask. diff * -fw has the bits of -(diff * fw), as rounding is
+    # symmetric in sign. Random-rule rows get a zero factor, which keeps
+    # their inf or NaN fw out of the arithmetic; they are overwritten below.
+    factor = (r < 0.0).astype(float)
+    factor *= -2.0
+    factor += 1.0
+    factor *= np.where(toward, fw, 0.0)[:, None]
     pace = positions - best_position
-    # Random-rule rows are overwritten below; a zero factor keeps their
-    # inf or NaN fw out of the arithmetic.
-    pace *= np.where(toward, fw, 0.0)[:, None]
-    np.negative(pace, out=pace, where=r < 0.0)
+    pace *= factor
     np.multiply(positions, r, out=pace, where=~toward[:, None])
     return pace
 
@@ -240,9 +271,9 @@ def initialize_swarm(config: FdoConfig, objective: Objective,
     Every scout's fitness is evaluated and its stored pace starts at zero.
     The global best is the first scout with the lowest fitness.
     """
-    box = config._box
+    lower, upper = config._limits
     shape = (config.population, config.dimension)
-    positions = rng.uniform(box[:, 0], box[:, 1], shape)
+    positions = rng.uniform(lower, upper, shape)
     fitness = _evaluate_rows(objective, positions)
     swarm = Swarm(positions, fitness, np.zeros(shape), positions[0].copy(),
                   float(fitness[0]))
@@ -257,7 +288,7 @@ def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
     fw = fitness_weight(swarm.fitness, swarm.best_fitness, config.weight_factor)
     pace = compute_pace(swarm.positions, swarm.best_position, fw,
                         rng.uniform(-1.0, 1.0, swarm.positions.shape))
-    candidates = clamp_to_bounds(swarm.positions + pace, config._box)
+    candidates = _clamp_in_place(swarm.positions + pace, *config._limits)
     values = _evaluate_rows(objective, candidates)
     accepted = values < swarm.fitness
     rows = accepted[:, None]
@@ -271,8 +302,9 @@ def _retries(swarm: Swarm, objective: Objective, config: FdoConfig,
              rejected: np.ndarray) -> None:
     """Phase two: each rejected scout retries its stored pace and moves on
     strict improvement; the pace in use is the stored one, so it stays."""
-    retries = clamp_to_bounds(
-        swarm.positions[rejected] + swarm.last_pace[rejected], config._box)
+    retries = swarm.positions[rejected]
+    retries += swarm.last_pace[rejected]
+    _clamp_in_place(retries, *config._limits)
     values = _evaluate_rows(objective, retries)
     better = values < swarm.fitness[rejected]
     moved = rejected[better]

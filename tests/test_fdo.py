@@ -1,11 +1,14 @@
 """Tests for the core optimizer: pace rules, acceptance protocol, invariants."""
 
+import re
+
 import numpy as np
 import pytest
 
 from fdo_mlp.fdo import (ConvergenceCurve, EvaluationError, FdoConfig, Swarm,
-                         clamp_to_bounds, compute_pace, fitness_weight,
-                         initialize_swarm, optimize, step, uniform_bounds)
+                         _clamp_in_place, clamp_to_bounds, compute_pace,
+                         fitness_weight, initialize_swarm, optimize, step,
+                         uniform_bounds)
 
 
 def sphere(x):
@@ -50,6 +53,41 @@ def one_scout(position, fitness, best_position, best_fitness, last_pace=None):
     pace = np.zeros_like(position) if last_pace is None else np.array([last_pace], dtype=float)
     return Swarm(position, np.array([fitness], dtype=float), pace,
                  np.array(best_position, dtype=float), best_fitness)
+
+
+def masked_negate_pace(positions, best_position, fw, r):
+    """compute_pace as first written, with a masked negate: the bitwise
+    reference for the branch-free form."""
+    toward = (0.0 < fw) & (fw < 1.0)
+    pace = positions - best_position
+    pace *= np.where(toward, fw, 0.0)[:, None]
+    np.negative(pace, out=pace, where=r < 0.0)
+    np.multiply(positions, r, out=pace, where=~toward[:, None])
+    return pace
+
+
+def clip_clamp(position, bounds):
+    """clamp_to_bounds as first written, with np.clip: the bitwise reference
+    for the in-place maximum and minimum."""
+    box = np.asarray(bounds, dtype=float)
+    return np.clip(np.asarray(position, dtype=float), box[:, 0], box[:, 1])
+
+
+def assert_same_bits(actual, expected):
+    """Equal as int64 bit patterns, so -0 differs from +0 and NaN's sign and
+    payload count; assert_array_equal sees neither."""
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype == float
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+#: Signed zeros and subnormals, sprinkled into the bitwise guard inputs.
+TINY = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310])
+
+
+def sprinkle(rng, values, specials, share):
+    """Overwrite about ``share`` of ``values`` with draws from ``specials``."""
+    mask = rng.uniform(size=values.shape) < share
+    values[mask] = rng.choice(specials, int(mask.sum()))
 
 
 def reference_optimize(objective, config):
@@ -116,6 +154,28 @@ class TestFdoConfig:
         with pytest.raises(ValueError):
             FdoConfig(bounds=((0.0, 1.0),), max_iterations=-1)
 
+    def test_bound_rows_are_cached_contiguous_and_read_only(self):
+        config = FdoConfig(bounds=((-1.0, 2.0), (0.0, 0.0), (-3.5, 4.0)))
+        lower, upper = config._limits
+        for row, expected in ((lower, [-1.0, 0.0, -3.5]), (upper, [2.0, 0.0, 4.0])):
+            assert row.shape == (3,) and row.dtype == float
+            assert row.flags.c_contiguous and not row.flags.writeable
+            np.testing.assert_array_equal(row, expected)
+        again = config._limits
+        assert again[0] is lower and again[1] is upper
+        with pytest.raises(ValueError, match="read-only"):
+            lower[0] = 5.0
+
+    def test_optimize_leaves_bound_rows_unchanged(self):
+        config = FdoConfig(bounds=((-5.0, 5.0), (-0.0, -0.0), (1.0, 3.0)),
+                           population=8, max_iterations=30, seed=4)
+        lower, upper = config._limits
+        before = lower.copy(), upper.copy()
+        optimize(sphere, config)
+        assert config._limits[0] is lower and config._limits[1] is upper
+        assert_same_bits(lower, before[0])
+        assert_same_bits(upper, before[1])
+
 
 class TestClamp:
     def test_above_upper(self):
@@ -151,6 +211,41 @@ class TestClamp:
     def test_matrix_width_mismatch_names_shape(self):
         with pytest.raises(ValueError, match=r"shape \(3, 2\)"):
             clamp_to_bounds(np.zeros((3, 2)), [(-1, 1)])
+
+    def test_bounds_of_three_columns_rejected_with_their_shape(self):
+        with pytest.raises(ValueError, match=r"bounds have shape \(2, 3\): expected \(d, 2\)"):
+            clamp_to_bounds(np.zeros(2), [(-1, 1, 2)] * 2)
+
+    def test_flat_bounds_pair_rejected_with_its_shape(self):
+        with pytest.raises(ValueError, match=r"bounds have shape \(2,\): expected \(d, 2\)"):
+            clamp_to_bounds([0.5], [-1, 1])
+
+    def test_returns_a_new_array(self):
+        position = np.array([[5.0, -5.0]])
+        clamped = clamp_to_bounds(position, [(-1, 1), (-1, 1)])
+        np.testing.assert_array_equal(position, [[5.0, -5.0]])
+        np.testing.assert_array_equal(clamped, [[1.0, -1.0]])
+
+    @pytest.mark.parametrize("shape", [(30, 10), (40, 741)])
+    def test_bits_match_clip_on_special_values(self, shape):
+        """Signed zeros, subnormals, NaN of either sign and infinities, in
+        free and in pinned (lower == upper) dimensions with signed-zero
+        bounds, give np.clip's bits: through clamp_to_bounds and through
+        the in-place clamp the step uses with the config's bound rows."""
+        rng = np.random.default_rng(shape[1])
+        pairs = [(-1.0, 1.0), (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0),
+                 (5e-324, 5e-324), (-5e-324, 5e-324), (-0.0, 2.0), (-2.0, 0.0),
+                 (3.0, 3.0)]
+        bounds = [pairs[i % len(pairs)] for i in range(shape[1])]
+        specials = np.concatenate([TINY, [np.nan, -np.nan, np.inf, -np.inf, 2.0, -3.0]])
+        positions = rng.uniform(-4.0, 4.0, shape)
+        sprinkle(rng, positions, specials, 0.5)
+        expected = clip_clamp(positions, bounds)
+        assert_same_bits(clamp_to_bounds(positions, bounds), expected)
+        assert_same_bits(clamp_to_bounds(positions[0], bounds), expected[0])
+        rows = positions.copy()
+        assert _clamp_in_place(rows, *FdoConfig(bounds=bounds)._limits) is rows
+        assert_same_bits(rows, expected)
 
 
 class TestFitnessWeight:
@@ -223,6 +318,44 @@ class TestComputePace:
                 diff = (position - best) * fw
                 expected = np.where(draws < 0.0, -diff, diff)
             np.testing.assert_array_equal(row, expected)
+
+    @pytest.mark.parametrize("shape", [(30, 10), (40, 741)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_masked_negate_form(self, shape, seed):
+        """Signed zeros and subnormals in positions, best and r, and fw of
+        0, -0, 1, inf, NaN and negative beside fw in (0, 1), subnormal
+        included, give the masked-negate form's bits."""
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(-3.0, 3.0, shape)
+        best = rng.uniform(-3.0, 3.0, shape[1])
+        r = rng.uniform(-1.0, 1.0, shape)
+        for values in (positions, best, r):
+            sprinkle(rng, values, TINY, 0.2)
+        same = rng.uniform(size=shape) < 0.1
+        positions[same] = np.broadcast_to(best, shape)[same]
+        fw = rng.uniform(0.0, 1.0, shape[0])
+        sprinkle(rng, fw, np.array([0.0, -0.0, 1.0, np.inf, np.nan, -0.5, 5e-324,
+                                    1.0 - 2.0 ** -53, 2.0]), 0.5)
+        expected = masked_negate_pace(positions, best, fw, r)
+        assert_same_bits(compute_pace(positions, best, fw, r), expected)
+
+    @pytest.mark.parametrize("best, fw, r, received", [
+        ((3,), (2,), (3,), "(2, 3), (3,), (2,), (3,)"),
+        ((3,), (1,), (2, 3), "(2, 3), (3,), (1,), (2, 3)"),
+        ((3,), (), (2, 3), "(2, 3), (3,), (), (2, 3)"),
+        ((2,), (2,), (2, 3), "(2, 3), (2,), (2,), (2, 3)"),
+    ])
+    def test_wrong_shapes_rejected_with_all_shapes(self, best, fw, r, received):
+        """One row of draws for every scout, one weight for every scout, a
+        scalar weight or a short best are rejected, naming every shape."""
+        with pytest.raises(ValueError, match=re.escape(
+                "must have shapes (P, d), (d,), (P,) and (P, d); got " + received)):
+            compute_pace(np.zeros((2, 3)), np.zeros(best),
+                         np.full(fw, 0.5), np.zeros(r))
+
+    def test_one_dimensional_positions_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("got (3,), (3,), (1,), (3,)")):
+            compute_pace(np.zeros(3), np.zeros(3), np.full(1, 0.5), np.zeros(3))
 
 
 class TestInitializeSwarm:
