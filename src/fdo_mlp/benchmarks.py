@@ -19,11 +19,8 @@ import numpy as np
 @dataclass(frozen=True, eq=False)
 class BenchmarkFunction:
     name: str
-    dimension: int
     evaluate: Callable[[np.ndarray], np.ndarray]
-    known_minimum: float
     default_bounds: tuple[float, float]
-    argmin: np.ndarray
 
 
 def sphere(x):
@@ -47,11 +44,11 @@ def rosenbrock(x):
     return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], tuple[float, float], float, int]] = {
-    # name: (function, default bounds, argmin fill value, minimum dimension)
-    "sphere": (sphere, (-100.0, 100.0), 0.0, 1),
-    "rastrigin": (rastrigin, (-5.12, 5.12), 0.0, 1),
-    "rosenbrock": (rosenbrock, (-5.0, 10.0), 1.0, 2),
+_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], tuple[float, float], int]] = {
+    # name: (function, default bounds, minimum dimension)
+    "sphere": (sphere, (-100.0, 100.0), 1),
+    "rastrigin": (rastrigin, (-5.12, 5.12), 1),
+    "rosenbrock": (rosenbrock, (-5.0, 10.0), 2),
 }
 
 
@@ -60,17 +57,10 @@ def benchmark_names() -> list[str]:
 
 
 def get_benchmark(name: str, dimension: int) -> BenchmarkFunction:
-    """Instantiate a registered benchmark at the requested dimension."""
+    """Look up a registered benchmark, checking that it takes ``dimension``."""
     if name not in _REGISTRY:
         raise ValueError(f"unknown benchmark {name!r}; known: {', '.join(benchmark_names())}")
-    func, bounds, argmin_fill, min_dim = _REGISTRY[name]
+    func, bounds, min_dim = _REGISTRY[name]
     if dimension < min_dim:
         raise ValueError(f"{name} needs dimension >= {min_dim}")
-    return BenchmarkFunction(
-        name=name,
-        dimension=dimension,
-        evaluate=func,
-        known_minimum=0.0,
-        default_bounds=bounds,
-        argmin=np.full(dimension, argmin_fill),
-    )
+    return BenchmarkFunction(name=name, evaluate=func, default_bounds=bounds)

@@ -5,10 +5,11 @@ backpropagation), ``evaluate`` (saved model against a dataset), ``crossval``
 (k-fold cross-validation) and ``benchmark`` (optimizer on a classical test
 function). Every command accepts ``--config FILE`` with one ``key = value``
 per line (``#`` starts a comment); keys mirror the long flag names and
-explicit flags win over the file. Unknown keys are rejected, and a required
-value (``data``, ``model``) may come from either place. Seeds default
-to a fixed constant so runs are reproducible out of the box, and all file
-output is written to a temporary file and renamed into place.
+explicit flags win over the file. Unknown and repeated keys are rejected with
+the file and line, and a required value (``data``, ``model``) may come from
+either place. Seeds default to a fixed constant so runs are reproducible out
+of the box, and all file output is written to a temporary file and renamed
+into place.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ def finite_float(text: str) -> float:
 # Configuration files
 # ----------------------------------------------------------------------
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict[str, tuple[int, str, str]]:
+    """Each key's destination mapped to (line, key, raw value); none repeats."""
+    entries: dict[str, tuple[int, str, str]] = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as err:
@@ -63,45 +65,45 @@ def _parse_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise CliError(f"{path}: line {line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        entries[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        dest = key.replace("-", "_")
+        if dest in entries:
+            first, first_key, _ = entries[dest]
+            raise CliError(f"{path}: line {line_no}: configuration key {key!r} "
+                           f"repeats {first_key!r} from line {first}")
+        entries[dest] = (line_no, key, value)
     return entries
 
 
-def _convert_config_value(action: argparse.Action, key: str, raw: str):
+def _convert_config_value(action: argparse.Action, where: str, raw: str):
     convert = action.type if action.type is not None else str
     tokens = raw.split() if action.nargs == 2 else [raw]
     if action.nargs == 2 and len(tokens) != 2:
-        raise CliError(f"configuration key {key!r}: expected two values, got {raw!r}")
+        raise CliError(f"{where}: expected two values, got {raw!r}")
     try:
         values = [convert(token) for token in tokens]
     except ValueError:
-        raise CliError(f"configuration key {key!r}: cannot parse {raw!r}") from None
+        raise CliError(f"{where}: cannot parse {raw!r}") from None
     for value in values:
         if action.choices is not None and value not in action.choices:
             raise CliError(
-                f"configuration key {key!r}: {value!r} is not one of "
+                f"{where}: {value!r} is not one of "
                 f"{', '.join(map(str, action.choices))}")
     return values if action.nargs == 2 else values[0]
 
 
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser,
-                  argv: list[str]) -> None:
-    if getattr(args, "config", None) is None:
-        return
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The config file's values, converted as their flags would be, keyed by
+    destination: defaults for ``parser``, so explicit flags win."""
     actions = {a.dest: a for a in parser._actions if a.option_strings}
-    explicit = set()
-    for action in actions.values():
-        for opt in action.option_strings:
-            if any(token == opt or token.startswith(opt + "=") for token in argv):
-                explicit.add(action.dest)
-    for key, raw in _parse_config_file(args.config).items():
-        dest = key.replace("-", "_")
+    defaults = {}
+    for dest, (line_no, key, raw) in _parse_config_file(path).items():
+        where = f"{path}: line {line_no}"
         if dest == "config" or dest not in actions:
-            raise CliError(f"unknown configuration key {key!r}")
-        if dest in explicit:
-            continue
-        setattr(args, dest, _convert_config_value(actions[dest], key, raw))
+            raise CliError(f"{where}: unknown configuration key {key!r}")
+        defaults[dest] = _convert_config_value(
+            actions[dest], f"{where}: configuration key {key!r}", raw)
+    return defaults
 
 
 def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -163,8 +165,8 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # Abbreviated flags are refused: _apply_config only recognises a flag
-    # given by its full name, so a prefix would lose to the config file.
+    # Abbreviated flags are refused: a flag is spelled like its config key,
+    # and a flag added later cannot change what a prefix means.
     parser = argparse.ArgumentParser(
         prog="fdo-mlp", allow_abbrev=False,
         description="Train and evaluate MLP classifiers with the fitness "
@@ -264,7 +266,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     data = generate_synthetic(args.samples, args.features, args.separation,
                               args.balance, rng)
     out = Path(args.out) if args.out else Path(args.out_dir) / "dataset.csv"
-    save_csv(data, out, label_column="label")
+    save_csv(data, out)
     positives = int(np.sum(data.labels == 1))
     print(f"wrote {data.n_samples} samples x {data.n_features} features to {out} "
           f"({positives} positive / {data.n_samples - positives} negative)")
@@ -413,7 +415,9 @@ def main(argv: list[str] | None = None) -> int:
         action for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)).choices[args.command]
     try:
-        _apply_config(args, subparser, argv)
+        if args.config is not None:
+            subparser.set_defaults(**_config_defaults(args.config, subparser))
+            args = parser.parse_args(argv)
         _check_required(args, subparser)
         return _COMMANDS[args.command](args)
     except (CliError, ValueError, OSError, EvaluationError) as err:

@@ -45,6 +45,11 @@ class LabeledDataset:
             raise ValueError("labels must be binary (0 or 1)")
         if len(self.column_names) != self.features.shape[1]:
             raise ValueError("column_names length does not match feature width")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"row {row}, column {self.column_names[col]!r}: "
+                             f"feature {self.features[row, col]} is not finite")
 
     @property
     def n_samples(self) -> int:
@@ -122,9 +127,9 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     return LabeledDataset(features, np.array(labels, dtype=int), feature_names)
 
 
-def save_csv(data: LabeledDataset, path, label_column: str = "label") -> None:
+def save_csv(data: LabeledDataset, path) -> None:
     """Write a dataset as CSV with full repr precision (reload is exact)."""
-    lines = [",".join(list(data.column_names) + [label_column])]
+    lines = [",".join(list(data.column_names) + ["label"])]
     for row, label in zip(data.features, data.labels):
         lines.append(",".join(repr(float(v)) for v in row) + f",{int(label)}")
     write_text_atomic(path, "\n".join(lines) + "\n")

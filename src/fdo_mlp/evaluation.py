@@ -114,19 +114,18 @@ def auc(scores, actual) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def truncate_metric(value: float | None, places: int = 2) -> float | None:
-    """Truncate toward zero at ``places`` decimals (0.9487 -> 0.94)."""
+def truncate_metric(value: float | None) -> float | None:
+    """Truncate toward zero at two decimals (0.9487 -> 0.94)."""
     if value is None:
         return None
-    scale = 10 ** places
-    return math.floor(value * scale + 1e-9) / scale
+    return math.floor(value * 100 + 1e-9) / 100
 
 
-def format_metric(value: float | None, places: int = 2) -> str:
-    """Truncated fixed-point rendering, with "n/a" for undefined values."""
+def format_metric(value: float | None) -> str:
+    """Truncated two-decimal rendering, with "n/a" for undefined values."""
     if value is None:
         return "n/a"
-    return f"{truncate_metric(value, places):.{places}f}"
+    return f"{truncate_metric(value):.2f}"
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,14 +81,6 @@ class TrainedModel:
     curve: ConvergenceCurve
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if rng is None:
-        return np.random.default_rng(DEFAULT_SEED)
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _target_matrix(labels: np.ndarray, outputs: int) -> np.ndarray:
     """0/1 targets: one column for a single output unit, one-hot otherwise."""
     if outputs == 1:
@@ -170,10 +162,10 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
 
 
 def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
-                  rng: np.random.Generator | int | None = None) -> TrainedModel:
+                  rng: np.random.Generator | None = None) -> TrainedModel:
     """Search the weight box with FDO and return the best network found."""
     objective = make_objective(config.topology, train_data, config.sigmoid_output)
-    result = optimize(objective, config.fdo, _as_generator(rng) if rng is not None else None)
+    result = optimize(objective, config.fdo, rng)
     params = decode(result.best_position, config.topology)
     return TrainedModel(params=params, train_mse=result.best_fitness, curve=result.curve)
 
@@ -231,14 +223,15 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
 
 def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
                  learning_rate: float, epochs: int,
-                 rng: np.random.Generator | int | None = None,
+                 rng: np.random.Generator | None = None,
                  sigmoid_output: bool = False) -> TrainedModel:
     """Full-batch gradient descent on the MSE with a fixed learning rate.
 
-    Weights and biases start uniform in [-0.5, 0.5]. The best parameters
-    over all epochs (including the initial ones) are returned, and the curve
-    tracks the best MSE seen after each epoch. A non-finite loss aborts the
-    run with the offending epoch in the message.
+    Weights and biases start uniform in [-0.5, 0.5], drawn from ``rng`` or
+    else from ``DEFAULT_SEED``. The best parameters over all epochs
+    (including the initial ones) are returned, and the curve tracks the best
+    MSE seen after each epoch. A non-finite loss aborts the run with the
+    offending epoch in the message.
 
     The run updates one set of parameter arrays in place and copies them
     into the returned best arrays only when the loss strictly improves; the
@@ -249,7 +242,7 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     _check_dataset(topology, train_data)
-    gen = _as_generator(rng)
+    gen = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     n, m, o = topology.inputs, topology.hidden, topology.outputs
     weights = (gen.uniform(-0.5, 0.5, (n, m)), gen.uniform(-0.5, 0.5, m),
                gen.uniform(-0.5, 0.5, (m, o)), gen.uniform(-0.5, 0.5, o))

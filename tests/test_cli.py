@@ -202,6 +202,56 @@ class TestConfigFile:
         assert "configuration key 'threshold': cannot parse 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# run\npopulation = 5\nthreshold = nan\n")
+        out = tmp_path / "never"
+        assert run("train", "--data", xor_csv_path(), "--config", cfg,
+                   "--out-dir", out) == 1
+        assert (f"{cfg}: line 3: configuration key 'threshold': cannot parse 'nan'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_unknown_key_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n\nswarm-size = 10\n")
+        assert run("train", "--data", xor_csv_path(), "--config", cfg,
+                   "--out-dir", tmp_path / "never") == 1
+        assert (f"{cfg}: line 3: unknown configuration key 'swarm-size'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("first, second", [
+        ("iterations = 3", "iterations = 4"),
+        ("keep-columns = x1", "keep_columns = x2"),
+    ])
+    def test_repeated_key_names_file_and_both_lines(self, tmp_path, capsys,
+                                                    first, second):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{first}\npopulation = 5\n{second}\n")
+        out = tmp_path / "never"
+        assert run("train", "--data", xor_csv_path(), "--config", cfg,
+                   "--out-dir", out) == 1
+        key, repeated = (line.partition(" =")[0] for line in (second, first))
+        assert (f"{cfg}: line 3: configuration key '{key}' repeats '{repeated}' "
+                "from line 1" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_flag_with_equals_overrides_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("population = 6\niterations = 9\n")
+        out = tmp_path / "run"
+        assert run("train", "--data", xor_csv_path(), "--config", cfg,
+                   "--iterations=4", "--out-dir", out) == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 5
+
+    def test_bad_value_is_rejected_even_where_a_flag_overrides_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iterations = many\n")
+        assert run("train", "--data", xor_csv_path(), "--config", cfg,
+                   "--iterations", "4", "--out-dir", tmp_path / "never") == 1
+        assert "line 1: configuration key 'iterations': cannot parse 'many'" in (
+            capsys.readouterr().err)
+
 
 class TestNonFiniteFloats:
     """Every float flag rejects nan and infinities before the command runs,

@@ -1,6 +1,7 @@
 """Dataset ingestion, normalization, selection, synthetic generation."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestLoadCsv:
         with pytest.raises(ValueError,
                            match=rf"data.csv: column '{name}' appears twice in the header"):
             load_csv(path, "label")
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_row_and_column(self, value):
+        features = np.zeros((3, 2))
+        features[2, 1] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"row 2, column 'b': feature {value} is not finite")):
+            LabeledDataset(features, [0, 1, 0], ("a", "b"))
+
+    def test_first_non_finite_feature_is_named(self):
+        features = np.zeros((4, 3))
+        features[3, 0] = np.inf
+        features[1, 2] = np.nan
+        with pytest.raises(ValueError, match="row 1, column 'c'"):
+            LabeledDataset(features, [0, 1, 0, 1], ("a", "b", "c"))
 
 
 class TestNormalize:

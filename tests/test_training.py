@@ -252,6 +252,18 @@ class TestTrainFdoMlp:
         assert a.train_mse == b.train_mse
         assert a.curve.values == b.curve.values
 
+    def test_no_generator_draws_from_the_config_seed(self):
+        """Without rng the search draws from default_rng(config.fdo.seed)."""
+        data = min_max_normalize(generate_synthetic(40, 3, 4.0, 0.5,
+                                                    np.random.default_rng(2)))
+        config = TrainingConfig.for_topology(MlpTopology(3, 4, 1), population=9,
+                                             max_iterations=20, seed=13)
+        a = train_fdo_mlp(data, config)
+        b = train_fdo_mlp(data, config, np.random.default_rng(config.fdo.seed))
+        assert encode(a.params).tobytes() == encode(b.params).tobytes()
+        assert a.train_mse == b.train_mse
+        assert a.curve.values == b.curve.values
+
     def test_reported_mse_matches_recomputation(self):
         config = TrainingConfig.for_topology(MlpTopology(2, 5, 1), population=12,
                                              max_iterations=50, seed=1)
@@ -401,6 +413,14 @@ class TestTrainBpMlp:
         np.testing.assert_array_equal(encode(a.params), encode(b.params))
         assert a.curve.values == b.curve.values
 
+    def test_no_generator_draws_from_the_default_seed(self):
+        """Without rng the weights start from default_rng(42)."""
+        a = train_bp_mlp(XOR, MlpTopology(2, 4, 1), 0.5, 60, None)
+        b = train_bp_mlp(XOR, MlpTopology(2, 4, 1), 0.5, 60, np.random.default_rng(42))
+        assert encode(a.params).tobytes() == encode(b.params).tobytes()
+        assert a.train_mse == b.train_mse
+        assert a.curve.values == b.curve.values
+
     def test_reported_mse_matches_recomputation(self):
         model = train_bp_mlp(XOR, MlpTopology(2, 4, 1), 0.5, 200,
                              np.random.default_rng(4))
@@ -471,6 +491,26 @@ class TestTrainBpMlp:
                                  np.random.default_rng(seed))
             wins += classification_rate(model.params, XOR) == 1.0
         assert wins > 5
+
+
+def nan_feature_dataset():
+    features = XOR.features.copy()
+    features[2, 1] = np.nan
+    return LabeledDataset(features, XOR.labels, XOR.column_names)
+
+
+@pytest.mark.parametrize("train", [
+    lambda: train_fdo_mlp(nan_feature_dataset(), TrainingConfig.for_topology(
+        MlpTopology(2, 3, 1), population=5, max_iterations=2)),
+    lambda: train_bp_mlp(nan_feature_dataset(), MlpTopology(2, 3, 1), 0.5, 5),
+    lambda: train_bp_mlp(nan_feature_dataset(), MlpTopology(2, 3, 1), 0.5, 0),
+], ids=["fdo", "bp", "bp-zero-epochs"])
+def test_nan_feature_is_rejected_before_training(train):
+    """Neither the search's non-finite objective value, backprop's divergence
+    at epoch 1 nor a zero-epoch run's nan train_mse: the dataset names the
+    feature."""
+    with pytest.raises(ValueError, match="row 2, column 'x2': feature nan is not finite"):
+        train()
 
 
 class TestRunStatistics:
