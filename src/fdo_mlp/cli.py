@@ -10,6 +10,9 @@ the file and line, and a required value (``data``, ``model``) may come from
 either place. Seeds default to a fixed constant so runs are reproducible out
 of the box, and all file output is written to a temporary file and renamed
 into place.
+
+After its parameters, ``model.txt`` records in the config format the columns,
+scaling, output activation and threshold that ``evaluate`` replays.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import benchmark_names, get_benchmark
-from .data import (LabeledDataset, generate_synthetic, load_csv,
-                   min_max_normalize, save_csv, select_features, write_text_atomic)
+from .data import (LabeledDataset, NormalizationState, generate_synthetic, load_csv,
+                   min_max_normalize, normalize_with, parse_key_values, save_csv,
+                   select_features, write_text_atomic)
 from .evaluation import (METRIC_NAMES, ConfusionMatrix, CrossValReport, Trainer,
                          bp_trainer, cross_validate, format_metric, metrics, score)
 from .fdo import DEFAULT_SEED, EvaluationError, FdoConfig, optimize, uniform_bounds
-from .mlp import MlpTopology, hidden_size_rule, load_params, params_to_text
-from .training import TrainingConfig, run_statistics, train_fdo_mlp
+from .mlp import MlpTopology, hidden_size_rule, params_from_text, params_to_text
+from .training import TrainingConfig, check_threshold, run_statistics, train_fdo_mlp
 
 
 class CliError(Exception):
@@ -52,34 +56,11 @@ def finite_float(text: str) -> float:
 # Configuration files
 # ----------------------------------------------------------------------
 
-def _parse_config_file(path: str) -> dict[str, tuple[int, str, str]]:
-    """Each key's destination mapped to (line, key, raw value); none repeats."""
-    entries: dict[str, tuple[int, str, str]] = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as err:
-        raise CliError(f"cannot read config file {path}: {err}") from err
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise CliError(f"{path}: line {line_no}: expected 'key = value'")
-        key, _, value = (part.strip() for part in stripped.partition("="))
-        dest = key.replace("-", "_")
-        if dest in entries:
-            first, first_key, _ = entries[dest]
-            raise CliError(f"{path}: line {line_no}: configuration key {key!r} "
-                           f"repeats {first_key!r} from line {first}")
-        entries[dest] = (line_no, key, value)
-    return entries
-
-
 def _convert_config_value(action: argparse.Action, where: str, raw: str):
     convert = action.type if action.type is not None else str
-    tokens = raw.split() if action.nargs == 2 else [raw]
-    if action.nargs == 2 and len(tokens) != 2:
-        raise CliError(f"{where}: expected two values, got {raw!r}")
+    tokens = raw.split() if action.nargs else [raw]
+    if action.nargs and len(tokens) != action.nargs:
+        raise CliError(f"{where}: expected {action.nargs} values, got {raw!r}")
     try:
         values = [convert(token) for token in tokens]
     except ValueError:
@@ -89,21 +70,30 @@ def _convert_config_value(action: argparse.Action, where: str, raw: str):
             raise CliError(
                 f"{where}: {value!r} is not one of "
                 f"{', '.join(map(str, action.choices))}")
-    return values if action.nargs == 2 else values[0]
+    return values if action.nargs else values[0]
+
+
+def _convert_entries(entries: dict, source: str, actions: dict) -> dict:
+    """:func:`parse_key_values` entries converted by their destination's action."""
+    values = {}
+    for dest, (line_no, key, raw) in entries.items():
+        where = f"{source}: line {line_no}"
+        if dest not in actions:
+            raise CliError(f"{where}: unknown configuration key {key!r}")
+        values[dest] = _convert_config_value(
+            actions[dest], f"{where}: configuration key {key!r}", raw)
+    return values
 
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """The config file's values, converted as their flags would be, keyed by
     destination: defaults for ``parser``, so explicit flags win."""
-    actions = {a.dest: a for a in parser._actions if a.option_strings}
-    defaults = {}
-    for dest, (line_no, key, raw) in _parse_config_file(path).items():
-        where = f"{path}: line {line_no}"
-        if dest == "config" or dest not in actions:
-            raise CliError(f"{where}: unknown configuration key {key!r}")
-        defaults[dest] = _convert_config_value(
-            actions[dest], f"{where}: configuration key {key!r}", raw)
-    return defaults
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as err:
+        raise CliError(f"cannot read config file {path}: {err}") from err
+    actions = {a.dest: a for a in parser._actions if a.dest != "config"}
+    return _convert_entries(parse_key_values(lines, path), path, actions)
 
 
 def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -120,8 +110,7 @@ def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 # Shared argument groups
 # ----------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value configuration file")
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"random seed (default {DEFAULT_SEED})")
     parser.add_argument("--out-dir", default="out",
@@ -132,20 +121,11 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="CSV dataset path (required)")
     parser.add_argument("--label-column", default="label",
                         help="name of the binary label column (default: label)")
-    parser.add_argument("--keep-columns",
-                        help="comma-separated feature columns to keep (default: all)")
-
-
-def _add_scoring_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threshold", type=finite_float, default=0.5,
-                        help="decision threshold on the output unit (default 0.5)")
-    parser.add_argument("--output-activation", choices=("sigmoid", "linear"),
-                        default="sigmoid",
-                        help="output-unit activation for training and scoring; "
-                             "evaluate needs the model's own (default: sigmoid)")
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--keep-columns",
+                        help="comma-separated feature columns to keep (default: all)")
     parser.add_argument("--trainer", choices=("fdo", "bp"), default="fdo")
     parser.add_argument("--population", type=int, default=40,
                         help="scout count (default 40)")
@@ -157,7 +137,11 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
                         help="search box for every weight (default: -10 10)")
     parser.add_argument("--hidden", type=int,
                         help="hidden units (default: 2 * features + 1)")
-    _add_scoring_args(parser)
+    parser.add_argument("--threshold", type=finite_float, default=0.5,
+                        help="decision threshold on the output unit (default 0.5)")
+    parser.add_argument("--output-activation", choices=("sigmoid", "linear"),
+                        default="sigmoid",
+                        help="output-unit activation (default: sigmoid)")
     parser.add_argument("--learning-rate", type=finite_float, default=0.5,
                         help="backpropagation step size")
     parser.add_argument("--epochs", type=int, default=5000,
@@ -182,27 +166,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--balance", type=finite_float, default=183 / 287,
                    help="fraction of class-1 rows")
     p.add_argument("--out", help="output CSV path (default: OUT_DIR/dataset.csv)")
-    _add_common(p)
+    _add_run_args(p)
 
     p = sub.add_parser("train", allow_abbrev=False,
                        help="train a classifier and write model, convergence "
                             "curve and metrics")
     _add_data_args(p)
     _add_train_args(p)
-    _add_common(p)
+    _add_run_args(p)
 
     p = sub.add_parser("evaluate", allow_abbrev=False,
-                       help="score a saved model against a dataset")
+                       help="score a saved model against a dataset as trained")
     p.add_argument("--model", help="model file written by train (required)")
     _add_data_args(p)
-    _add_scoring_args(p)
-    _add_common(p)
 
     p = sub.add_parser("crossval", allow_abbrev=False, help="k-fold cross-validation")
     _add_data_args(p)
     p.add_argument("--k", type=int, default=5, help="fold count (default 5)")
     _add_train_args(p)
-    _add_common(p)
+    _add_run_args(p)
 
     p = sub.add_parser("benchmark", allow_abbrev=False,
                        help="run the optimizer on a test function")
@@ -213,8 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-factor", type=finite_float, default=0.0)
     p.add_argument("--repeats", type=int, default=10,
                    help="independent runs with derived seeds")
-    _add_common(p)
+    _add_run_args(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="key = value configuration file")
     return parser
 
 
@@ -222,12 +206,47 @@ def build_parser() -> argparse.ArgumentParser:
 # Data and configuration assembly
 # ----------------------------------------------------------------------
 
-def _load_dataset(args: argparse.Namespace, normalize: bool) -> LabeledDataset:
+def _column_names(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
+def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
     data = load_csv(args.data, args.label_column)
-    if args.keep_columns:
-        keep = [name.strip() for name in args.keep_columns.split(",") if name.strip()]
-        data = select_features(data, keep)
-    return min_max_normalize(data) if normalize else data
+    if args.keep_columns is not None:
+        data = select_features(data, _column_names(args.keep_columns))
+    return data
+
+
+def _read_model(path: str):
+    """Params, columns, normalization, sigmoid output, threshold of a model file."""
+    text = Path(path).read_text(encoding="utf-8")
+    params = params_from_text(text, source=path)
+    lines = text.splitlines()
+    entries = parse_key_values(lines[2:], path, first_line=3)
+    if not entries:
+        return params, None, None, True, 0.5
+    inputs = params.topology.inputs
+    train = argparse.ArgumentParser()
+    _add_train_args(train)
+    actions = {a.dest: a for a in train._actions
+               if a.dest in ("keep_columns", "output_activation", "threshold")}
+    for dest in ("mins", "maxs"):
+        actions[dest] = argparse.Action([], dest, nargs=inputs, type=finite_float)
+    values = _convert_entries(entries, path, actions)
+    missing = [dest.replace("_", "-") for dest in actions if dest not in values]
+    if missing:
+        raise CliError(f"{path}: lines 3-{len(lines)}: no {missing[0]!r} key")
+    names = _column_names(values["keep_columns"])
+    if len(names) != inputs:
+        raise CliError(f"{path}: line {entries['keep_columns'][0]}: {len(names)} "
+                       f"columns for a model of {inputs} inputs")
+    sigmoid_output = values["output_activation"] == "sigmoid"
+    try:
+        check_threshold(values["threshold"], sigmoid_output)
+    except ValueError as err:
+        raise CliError(f"{path}: line {entries['threshold'][0]}: {err}") from None
+    state = NormalizationState(np.array(values["mins"]), np.array(values["maxs"]))
+    return params, names, state, sigmoid_output, values["threshold"]
 
 
 def _training_config(args: argparse.Namespace, n_features: int) -> TrainingConfig:
@@ -274,7 +293,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    data = _load_dataset(args, normalize=True)
+    data = min_max_normalize(_load_dataset(args))
+    if any("," in name for name in data.column_names):
+        raise CliError(f"model.txt cannot record a column name with a comma: {data.column_names}")
     config = _training_config(args, data.n_features)
     # for FDO this is the stream optimize draws from config.seed
     train = _trainer(args) or train_fdo_mlp
@@ -282,8 +303,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     _, rate, _, report = score(model.params, data, args.threshold,
                                config.sigmoid_output)
 
+    state = data.normalization
+    settings = (f"keep-columns = {','.join(data.column_names)}\n"
+                f"mins = {' '.join(map(repr, state.mins.tolist()))}\n"
+                f"maxs = {' '.join(map(repr, state.maxs.tolist()))}\n"
+                f"output-activation = {args.output_activation}\n"
+                f"threshold = {args.threshold!r}\n")
     out_dir = Path(args.out_dir)
-    write_text_atomic(out_dir / "model.txt", params_to_text(model.params))
+    write_text_atomic(out_dir / "model.txt", params_to_text(model.params) + settings)
     curve_lines = ["iteration,best_mse"]
     curve_lines += [f"{i + 1},{v!r}" for i, v in enumerate(model.curve.values)]
     write_text_atomic(out_dir / "convergence.csv", "\n".join(curve_lines) + "\n")
@@ -299,14 +326,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    params = load_params(args.model)
-    data = _load_dataset(args, normalize=True)
+    params, names, state, sigmoid_output, threshold = _read_model(args.model)
+    data = load_csv(args.data, args.label_column)
+    data = (min_max_normalize(data) if state is None
+            else normalize_with(select_features(data, names), state))
     if data.n_features != params.topology.inputs:
         raise CliError(
             f"dataset has {data.n_features} features but the model expects "
             f"{params.topology.inputs}")
-    _, _, cm, report = score(params, data, args.threshold,
-                             args.output_activation == "sigmoid")
+    _, _, cm, report = score(params, data, threshold, sigmoid_output)
     print("confusion matrix (class 1 positive):")
     print(f"  tp={cm.tp}  fp={cm.fp}")
     print(f"  fn={cm.fn}  tn={cm.tn}")
@@ -346,7 +374,7 @@ def _crossval_csvs(report: CrossValReport) -> dict[str, str]:
 def cmd_crossval(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise CliError("crossval needs k >= 2")
-    data = _load_dataset(args, normalize=False)
+    data = _load_dataset(args)
     config = _training_config(args, data.n_features)
     report = cross_validate(data, args.k, config, train=_trainer(args))
 

@@ -73,11 +73,12 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     Column names must be distinct. All cells must parse as finite decimal
     numbers; the label column must contain only 0 and 1. Parse failures
     report the file line and column name; a feature column whose max - min
-    overflows is rejected by name.
+    overflows is rejected by name, and a file the csv module or the UTF-8
+    decoder cannot read fails naming the file.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+        reader = _csv_rows(path, handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -125,6 +126,38 @@ def load_csv(path, label_column: str) -> LabeledDataset:
         if not math.isfinite(span):
             raise ValueError(f"{path}: column {name!r}: max - min is not finite")
     return LabeledDataset(features, np.array(labels, dtype=int), feature_names)
+
+
+def _csv_rows(path: Path, handle):
+    """The rows of a CSV file; a malformed or non-UTF-8 file fails naming it."""
+    reader = csv.reader(handle)
+    try:
+        yield from reader
+    except csv.Error as err:
+        raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
+
+
+def parse_key_values(lines, source: str, first_line: int = 1) -> dict:
+    """Each key's destination (``-`` read as ``_``) mapped to (line, key, raw
+    value), skipping blank and ``#`` lines. A line without ``=`` and a
+    repeated key raise ValueError naming ``source`` and the line."""
+    entries: dict[str, tuple[int, str, str]] = {}
+    for line_no, line in enumerate(lines, start=first_line):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"{source}: line {line_no}: expected 'key = value'")
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        dest = key.replace("-", "_")
+        if dest in entries:
+            first, first_key, _ = entries[dest]
+            raise ValueError(f"{source}: line {line_no}: configuration key {key!r} "
+                             f"repeats {first_key!r} from line {first}")
+        entries[dest] = (line_no, key, value)
+    return entries
 
 
 def save_csv(data: LabeledDataset, path) -> None:

@@ -233,5 +233,5 @@ def params_from_text(text: str, source: str = "<text>") -> MlpParams:
 
 
 def load_params(path) -> MlpParams:
-    """Read a model file written by ``fdo-mlp train`` (:func:`params_to_text`)."""
+    """Read the parameters, the first two lines, of a ``fdo-mlp train`` model file."""
     return params_from_text(Path(path).read_text(encoding="utf-8"), source=str(path))

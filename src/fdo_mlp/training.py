@@ -53,6 +53,7 @@ class TrainingConfig:
             raise ValueError(
                 f"optimizer searches {self.fdo.dimension} dimensions but the "
                 f"topology needs {vector_dimension(self.topology)}")
+        check_threshold(self.threshold, self.sigmoid_output)
 
     @classmethod
     def for_topology(cls, topology: MlpTopology, *, population: int = 40,
@@ -72,6 +73,13 @@ class TrainingConfig:
                         weight_factor=weight_factor, seed=seed)
         return cls(fdo=fdo, topology=topology, threshold=threshold,
                    sigmoid_output=sigmoid_output)
+
+
+def check_threshold(threshold: float, sigmoid_output: bool) -> None:
+    """Reject a threshold outside [0, 1] on a sigmoid output: all rows would get one class."""
+    if sigmoid_output and not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold {threshold!r} is outside [0, 1], "
+                         "the range of a sigmoid output")
 
 
 @dataclass(eq=False)

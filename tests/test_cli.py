@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fdo_mlp.cli import build_parser, main
-from fdo_mlp.data import load_csv, min_max_normalize, xor_csv_path
+from fdo_mlp.data import load_csv, min_max_normalize, select_features, xor_csv_path
+from fdo_mlp.evaluation import score
 from fdo_mlp.mlp import MlpTopology, load_params, params_to_text
 from fdo_mlp.training import TrainingConfig, train_fdo_mlp
 
@@ -90,7 +91,7 @@ class TestTrain:
         config = TrainingConfig.for_topology(MlpTopology(2, 5, 1), population=9,
                                              max_iterations=11, seed=5)
         model = train_fdo_mlp(min_max_normalize(load_csv(xor_csv_path(), "label")), config)
-        assert (out / "model.txt").read_text() == params_to_text(model.params)
+        assert (out / "model.txt").read_text().startswith(params_to_text(model.params))
 
     def test_repeated_keep_column_rejected(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -98,6 +99,34 @@ class TestTrain:
                    "--out-dir", out) == 1
         assert "column 'f01' is kept more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    def test_empty_keep_columns_rejected(self, synth_csv, tmp_path, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("keep-columns =\n")
+        given = ["--keep-columns", ""] if source == "flag" else ["--config", cfg]
+        out = tmp_path / "run"
+        assert run("train", "--data", synth_csv, *given, "--out-dir", out) == 1
+        assert "keep must name at least one column" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_threshold_outside_a_sigmoid_range_rejected(self, tmp_path, capsys, command):
+        folds = ["--k", 2] if command == "crossval" else []
+        argv = [command, "--data", xor_csv_path(), *folds, "--threshold", 7,
+                "--population", 4, "--iterations", 2]
+        assert run(*argv, "--out-dir", tmp_path / "never") == 1
+        assert "threshold 7.0 is outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+        assert run(*argv, "--output-activation", "linear",
+                   "--out-dir", tmp_path / "linear") == 0
+
+    def test_column_name_with_a_comma_rejected(self, tmp_path, capsys):
+        data = tmp_path / "comma.csv"
+        data.write_text('"a,b",c,label\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n')
+        assert run("train", "--data", data, "--out-dir", tmp_path / "never") == 1
+        assert "cannot record a column name with a comma" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_equal_bounds_named_equal(self, tmp_path, capsys):
         assert run("train", "--data", xor_csv_path(), "--bounds", 5, 5,
@@ -181,10 +210,10 @@ class TestConfigFile:
     def test_required_value_given_nowhere_is_a_usage_error(
             self, tmp_path, capsys, command, flag, with_config):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 3\n")
+        cfg.write_text("label-column = label\n")
         argv = [command, "--out-dir", tmp_path / "never"]
         if command == "evaluate":
-            argv += ["--data", xor_csv_path()]
+            argv = [command, "--data", xor_csv_path()]
         if with_config:
             argv += ["--config", cfg]
         with pytest.raises(SystemExit) as exit_info:
@@ -262,14 +291,12 @@ class TestNonFiniteFloats:
         ("generate", "--separation"), ("generate", "--balance"),
         ("train", "--weight-factor"), ("train", "--bounds"),
         ("train", "--threshold"), ("train", "--learning-rate"),
-        ("crossval", "--threshold"), ("evaluate", "--threshold"),
-        ("benchmark", "--weight-factor")])
+        ("crossval", "--threshold"), ("benchmark", "--weight-factor")])
     def test_flag_rejected(self, tmp_path, capsys, command, flag, token):
         out = tmp_path / "never"
         argv = {"generate": ["--out", out / "data.csv"],
                 "train": ["--data", xor_csv_path()],
                 "crossval": ["--data", xor_csv_path()],
-                "evaluate": ["--model", out / "model.txt", "--data", xor_csv_path()],
                 "benchmark": []}[command]
         values = ["-1", token] if flag == "--bounds" else [token]
         with pytest.raises(SystemExit) as exit_info:
@@ -336,6 +363,110 @@ class TestEvaluate:
                             ("ppv", "1.00"), ("npv", "0.90"), ("accuracy", "0.96")):
             line = next(l for l in out.splitlines() if l.strip().startswith(name))
             assert shown in line
+
+
+def _raw_metrics(stdout):
+    """Each metric's six-decimal raw value as ``evaluate`` prints it."""
+    return {line.split()[0]: line.split("(raw ")[1].rstrip(")")
+            for line in stdout.splitlines() if "(raw " in line}
+
+
+class TestEvaluateReplaysTraining:
+    """``evaluate`` takes the columns, scaling, activation and threshold from
+    ``model.txt``, so it scores rows as the trained model scored them."""
+
+    @pytest.fixture()
+    def wide_csv(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        assert run("generate", "--samples", 120, "--features", 4, "--separation", 3,
+                   "--seed", 5, "--out", path) == 0
+        return path
+
+    @pytest.mark.parametrize("flags, columns, threshold, sigmoid_output", [
+        (["--population", 12, "--iterations", 20], ["f01", "f02", "f03", "f04"], 0.5, True),
+        (["--trainer", "bp", "--epochs", 150, "--output-activation", "linear",
+          "--threshold", 0.6], ["f03", "f01"], 0.6, False)],
+        ids=["fdo-sigmoid", "bp-linear"])
+    def test_training_csv_reproduces_train_metrics(self, wide_csv, tmp_path, capsys, flags,
+                                                   columns, threshold, sigmoid_output):
+        out = tmp_path / "run"
+        assert run("train", "--data", wide_csv, *flags, "--keep-columns", ",".join(columns),
+                   "--seed", 4, "--out-dir", out) == 0
+        assert run("evaluate", "--model", out / "model.txt", "--data", wide_csv) == 0
+        printed = capsys.readouterr().out
+        names, values = (out / "metrics.csv").read_text().splitlines()
+        expected = {name: f"{float(v):.6f}" for name, v in zip(names.split(","),
+                                                              values.split(","))}
+        assert _raw_metrics(printed) == expected
+        data = select_features(load_csv(wide_csv, "label"), columns)
+        _, _, cm, _ = score(load_params(out / "model.txt"), min_max_normalize(data),
+                            threshold, sigmoid_output)
+        assert f"tp={cm.tp}  fp={cm.fp}" in printed and f"fn={cm.fn}  tn={cm.tn}" in printed
+
+    @pytest.mark.parametrize("label", [1, 0])
+    def test_class_pure_rows_score_as_in_training(self, wide_csv, tmp_path, capsys, label):
+        out = tmp_path / "run"
+        assert run("train", "--data", wide_csv, "--population", 12, "--iterations", 20,
+                   "--seed", 4, "--out-dir", out) == 0
+        header, *rows = wide_csv.read_text().splitlines()
+        picked = [i for i, row in enumerate(rows) if row.endswith(f",{label}")][:30]
+        subset = tmp_path / "subset.csv"
+        subset.write_text("\n".join([header] + [rows[i] for i in picked]) + "\n")
+        capsys.readouterr()
+        assert run("evaluate", "--model", out / "model.txt", "--data", subset) == 0
+        trained = min_max_normalize(load_csv(wide_csv, "label")).subset(picked)
+        _, rate, _, _ = score(load_params(out / "model.txt"), trained, 0.5, True)
+        assert _raw_metrics(capsys.readouterr().out)["accuracy"] == f"{rate:.6f}"
+
+    @pytest.mark.parametrize("removed", [
+        "--keep-columns=x1", "--threshold=0.5", "--output-activation=linear",
+        "--seed=1", "--out-dir=never"])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, capsys, removed):
+        model = tmp_path / "model.txt"
+        model.write_text("2 1 1\n0.5 0.5 0.5 0.5 0.5\n")
+        with pytest.raises(SystemExit) as exit_info:
+            run("evaluate", "--model", model, "--data", xor_csv_path(), removed)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
+
+    MODEL = ("2 1 1\n0.5 0.5 0.5 0.5 0.5\nkeep-columns = x2,x1\nmins = 0.0 0.0\n"
+             "maxs = 1.0 1.0\noutput-activation = sigmoid\nthreshold = 0.5\n")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("= 0.5\n", "= 0.5\nspeed = 3\n", "line 8: unknown configuration key 'speed'"),
+        ("= 0.5\n", "= 0.5\nthreshold = 0.4\n",
+         "line 8: configuration key 'threshold' repeats 'threshold' from line 7"),
+        ("maxs = 1.0 1.0\n", "", "lines 3-6: no 'maxs' key"),
+        ("mins = 0.0 0.0", "mins = 0.0", "line 4: configuration key 'mins': expected 2 values"),
+        ("maxs = 1.0 1.0", "maxs = 1.0 1.0 1.0",
+         "line 5: configuration key 'maxs': expected 2 values"),
+        ("maxs = 1.0 1.0", "maxs = 1.0 inf", "line 5: configuration key 'maxs': cannot parse"),
+        ("= 0.5", "= nan", "line 7: configuration key 'threshold': cannot parse 'nan'"),
+        ("sigmoid", "tanh", "line 6: configuration key 'output-activation': "
+                            "'tanh' is not one of sigmoid, linear"),
+        ("= 0.5", "= 7", "line 7: threshold 7.0 is outside [0, 1]"),
+        ("x2,x1", "", "line 3: 0 columns for a model of 2 inputs"),
+        ("x2,x1", "x1", "line 3: 1 columns for a model of 2 inputs"),
+        ("mins =", "mins", "line 4: expected 'key = value'"),
+    ], ids=["unknown-key", "repeated-key", "missing-key", "short-mins", "long-maxs",
+            "infinite-max", "nan-threshold", "unknown-activation", "sigmoid-threshold",
+            "empty-columns", "too-few-columns", "no-equals"])
+    def test_model_file_error_names_file_and_line(self, tmp_path, capsys, old, new, message):
+        model = tmp_path / "model.txt"
+        model.write_text(self.MODEL.replace(old, new))
+        assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 1
+        assert f"{model}: {message}" in capsys.readouterr().err
+
+    def test_linear_output_keeps_any_threshold(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(self.MODEL.replace("sigmoid", "linear").replace("= 0.5", "= 7"))
+        assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 0
+        assert "tp=0  fp=0" in capsys.readouterr().out
+    def test_column_the_csv_lacks_is_named(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text(self.MODEL.replace("x2,x1", "x2,x3"))
+        assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 1
+        assert "unknown column 'x3'" in capsys.readouterr().err
 
 
 class TestCrossval:

@@ -66,6 +66,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path, "label")
 
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "a,label\n1,0\n" + "9" * 140_000 + ",1\n")
+        with pytest.raises(ValueError,
+                           match=r"data.csv: line 3: field larger than field limit"):
+            load_csv(path, "label")
+
+    def test_non_utf8_byte_names_file(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"a,label\n1,0\n\xff,1\n")
+        with pytest.raises(ValueError, match=r"data.csv: not UTF-8 text: .* 0xff"):
+            load_csv(path, "label")
+
     @pytest.mark.parametrize("header", ["a,a,label", "a,b, a,label", "a,label,label"])
     def test_repeated_column_name_names_file_and_column(self, tmp_path, header):
         name = "label" if header.endswith("label,label") else "a"

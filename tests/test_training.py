@@ -68,6 +68,14 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match="weight_bounds must be finite"):
             TrainingConfig.for_topology(MlpTopology(2, 3, 1), weight_bounds=bounds)
 
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 7.0])
+    def test_threshold_outside_a_sigmoid_range_rejected(self, threshold):
+        with pytest.raises(ValueError, match=rf"threshold {threshold!r} is outside \[0, 1\]"):
+            TrainingConfig.for_topology(MlpTopology(2, 3, 1), threshold=threshold)
+        config = TrainingConfig.for_topology(MlpTopology(2, 3, 1), threshold=threshold,
+                                             sigmoid_output=False)
+        assert config.threshold == threshold
+
     def test_factory_dimensions_consistent(self):
         config = TrainingConfig.for_topology(MlpTopology(3, 7, 1))
         assert config.fdo.dimension == vector_dimension(config.topology)
