@@ -284,25 +284,32 @@ class TestConfigFile:
 
 class TestNonFiniteFloats:
     """Every float flag rejects nan and infinities before the command runs,
-    with argparse's usage error naming the flag."""
+    with argparse's usage error naming the flag. evaluate takes its threshold
+    from model.txt, so there a --threshold of any value is an unrecognized
+    argument."""
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     @pytest.mark.parametrize("command, flag", [
         ("generate", "--separation"), ("generate", "--balance"),
         ("train", "--weight-factor"), ("train", "--bounds"),
         ("train", "--threshold"), ("train", "--learning-rate"),
-        ("crossval", "--threshold"), ("benchmark", "--weight-factor")])
+        ("crossval", "--threshold"), ("evaluate", "--threshold"),
+        ("benchmark", "--weight-factor")])
     def test_flag_rejected(self, tmp_path, capsys, command, flag, token):
         out = tmp_path / "never"
         argv = {"generate": ["--out", out / "data.csv"],
                 "train": ["--data", xor_csv_path()],
                 "crossval": ["--data", xor_csv_path()],
+                "evaluate": ["--model", out / "model.txt", "--data", xor_csv_path()],
                 "benchmark": []}[command]
         values = ["-1", token] if flag == "--bounds" else [token]
+        out_dir = [] if command == "evaluate" else ["--out-dir", out]
         with pytest.raises(SystemExit) as exit_info:
-            run(command, *argv, flag, *values, "--out-dir", out)
+            run(command, *argv, flag, *values, *out_dir)
         assert exit_info.value.code == 2
-        assert f"argument {flag}" in capsys.readouterr().err
+        expected = (f"unrecognized arguments: {flag} {token}" if command == "evaluate"
+                    else f"argument {flag}")
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
 
