@@ -26,8 +26,8 @@ import numpy as np
 
 from .benchmarks import benchmark_names, get_benchmark
 from .data import (LabeledDataset, NormalizationState, generate_synthetic, load_csv,
-                   min_max_normalize, normalize_with, parse_key_values, save_csv,
-                   select_features, write_text_atomic)
+                   min_max_normalize, normalize_with, parse_key_values, read_text,
+                   save_csv, select_features, write_text_atomic)
 from .evaluation import (METRIC_NAMES, ConfusionMatrix, CrossValReport, Trainer,
                          bp_trainer, cross_validate, format_metric, metrics, score)
 from .fdo import DEFAULT_SEED, EvaluationError, FdoConfig, optimize, uniform_bounds
@@ -89,7 +89,7 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """The config file's values, converted as their flags would be, keyed by
     destination: defaults for ``parser``, so explicit flags win."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
     except OSError as err:
         raise CliError(f"cannot read config file {path}: {err}") from err
     actions = {a.dest: a for a in parser._actions if a.dest != "config"}
@@ -219,7 +219,7 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
 
 def _read_model(path: str):
     """Params, columns, normalization, sigmoid output, threshold of a model file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     params = params_from_text(text, source=path)
     lines = text.splitlines()
     entries = parse_key_values(lines[2:], path, first_line=3)

@@ -72,15 +72,15 @@ def load_csv(path, label_column: str) -> LabeledDataset:
 
     Column names must be distinct. All cells must parse as finite decimal
     numbers; the label column must contain only 0 and 1. Parse failures
-    report the file line and column name; a feature column whose max - min
-    overflows is rejected by name, and a file the csv module or the UTF-8
-    decoder cannot read fails naming the file.
+    report the file line the row starts on and the column name; a feature
+    column whose max - min overflows is rejected by name, and a file the
+    csv module or the UTF-8 decoder cannot read fails naming the file.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as handle:
         reader = _csv_rows(path, handle)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
@@ -95,7 +95,7 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             raise ValueError(f"{path}: no feature columns besides the label")
         rows: list[list[float]] = []
         labels: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in reader:
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}: line {line_no} has {len(row)} cells, expected {len(header)}")
@@ -129,12 +129,25 @@ def load_csv(path, label_column: str) -> LabeledDataset:
 
 
 def _csv_rows(path: Path, handle):
-    """The rows of a CSV file; a malformed or non-UTF-8 file fails naming it."""
+    """Each row of a CSV file with the file line it starts on, which runs
+    ahead of the record count after a quoted field that spans lines; a
+    malformed or non-UTF-8 file fails naming it."""
     reader = csv.reader(handle)
     try:
-        yield from reader
+        line_no = 1
+        for row in reader:
+            yield line_no, row
+            line_no = reader.line_num + 1
     except csv.Error as err:
         raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 fails naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text: {err}") from None
 

@@ -21,11 +21,19 @@ The objective is a black box from a ``(k, d)`` matrix of positions, one
 row per scout, to ``k`` values, and is called once per phase: once for the
 initial population, then once for the first proposals and at most once for
 the retries of each iteration. The matrix may be a view into the swarm's
-arrays: an objective must neither modify nor keep it. No scout's proposal
-depends on another scout's outcome within an iteration, so the two-phase
-schedule gives exactly the results, random stream and evaluation count of
-moving the scouts one after another (proposal, then retry, then the next
-scout), provided each row's value depends on that row alone.
+arrays: an objective must neither modify nor keep it. A row's value must
+depend on that row alone, and the same row gives the same value on every
+call.
+
+A scout whose retry was rejected and that has not moved since retries the
+same clamped position against the same fitness, so its retry is not passed
+to the objective again: the outcome, a rejection, is known. Such a retry
+still counts as an evaluation of FDO's rule. No scout's proposal depends
+on another scout's outcome within an iteration, so the two-phase schedule
+gives exactly the results, random stream and evaluation count of moving
+the scouts one after another (proposal, then retry, then the next scout),
+and passes the objective only the retries that such a run could not answer
+from a scout's record.
 """
 
 from __future__ import annotations
@@ -65,13 +73,23 @@ class Swarm:
     objective value in ``fitness`` ``(P,)`` and the displacement behind its
     last accepted move in ``last_pace`` ``(P, d)`` (zero until the first
     one), plus the global best found so far as a position ``(d,)`` owned by
-    the swarm and its objective value."""
+    the swarm and its objective value.
+
+    ``retry_open`` ``(P,)`` is False for a scout whose retry was evaluated
+    and rejected from its current position with its current pace, so the
+    retry's value is known not to improve it; True, the default for every
+    scout, means the retry must be evaluated."""
 
     positions: np.ndarray
     fitness: np.ndarray
     last_pace: np.ndarray
     best_position: np.ndarray
     best_fitness: float
+    retry_open: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.retry_open is None:
+            self.retry_open = np.ones(len(self.fitness), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -265,9 +283,10 @@ def initialize_swarm(config: FdoConfig, objective: Objective,
 
 
 def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Phase one: every scout proposes position + pace and keeps it, with
-    its pace, on strict improvement. Returns the rejected scouts' indices."""
+    its pace, on strict improvement, which reopens its retry. Returns the
+    number of rejected scouts and the indices of those whose retry is open."""
     fw = fitness_weight(swarm.fitness, swarm.best_fitness, config.weight_factor)
     pace = compute_pace(swarm.positions, swarm.best_position, fw,
                         rng.uniform(-1.0, 1.0, swarm.positions.shape))
@@ -279,18 +298,23 @@ def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
     np.copyto(swarm.positions, candidates, where=rows)
     np.copyto(swarm.last_pace, pace, where=rows)
     np.copyto(swarm.fitness, values, where=accepted)
-    return np.flatnonzero(~accepted)
+    swarm.retry_open |= accepted
+    rejected = ~accepted
+    return int(np.count_nonzero(rejected)), np.flatnonzero(rejected & swarm.retry_open)
 
 
 def _retries(swarm: Swarm, objective: Objective, config: FdoConfig,
              rejected: np.ndarray) -> None:
-    """Phase two: each rejected scout retries its stored pace and moves on
-    strict improvement; the pace in use is the stored one, so it stays."""
+    """Phase two: each of the ``rejected`` scouts retries its stored pace
+    and moves on strict improvement; the pace in use is the stored one, so
+    it stays. A scout that moved keeps its retry open; a rejected retry,
+    ties included, closes it until the scout next accepts a proposal."""
     retries = swarm.positions[rejected]
     retries += swarm.last_pace[rejected]
     _clamp_in_place(retries, *config._limits)
     values = _evaluate_rows(objective, retries)
     better = values < swarm.fitness[rejected]
+    swarm.retry_open[rejected] = better
     moved = rejected[better]
     swarm.positions[moved] = retries[better]
     swarm.fitness[moved] = values[better]
@@ -305,13 +329,17 @@ def step(swarm: Swarm, objective: Objective, config: FdoConfig,
     pace; on a second rejection the scout keeps its state. Paces use the
     global best as of the start of the iteration; the global best itself is
     refreshed only after all scouts have moved, and ties keep the incumbent.
-    The swarm is updated in place; returns the number of evaluations made.
+    A retry already evaluated and rejected from the scout's current
+    position with its current pace is not passed to the objective again:
+    its value is known and cannot improve the scout. The swarm is updated
+    in place; returns the number of evaluations FDO's rule makes, one per
+    scout plus one per rejected proposal, known retries included.
     """
-    rejected = _first_proposals(swarm, objective, config, rng)
-    if rejected.size:
-        _retries(swarm, objective, config, rejected)
+    rejected, open_retries = _first_proposals(swarm, objective, config, rng)
+    if open_retries.size:
+        _retries(swarm, objective, config, open_retries)
     _refresh_best(swarm)
-    return len(swarm.fitness) + rejected.size
+    return len(swarm.fitness) + rejected
 
 
 def optimize(objective: Objective, config: FdoConfig,

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .data import read_text
 
 
 @dataclass(frozen=True)
@@ -233,5 +234,6 @@ def params_from_text(text: str, source: str = "<text>") -> MlpParams:
 
 
 def load_params(path) -> MlpParams:
-    """Read the parameters, the first two lines, of a ``fdo-mlp train`` model file."""
-    return params_from_text(Path(path).read_text(encoding="utf-8"), source=str(path))
+    """Read the parameters, the first two lines, of a ``fdo-mlp train`` model
+    file; a file that is not UTF-8 fails naming it."""
+    return params_from_text(read_text(path), source=str(path))

@@ -281,6 +281,14 @@ class TestConfigFile:
         assert "line 1: configuration key 'iterations': cannot parse 'many'" in (
             capsys.readouterr().err)
 
+    def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"iterations = 2\n\xff\n")
+        out = tmp_path / "never"
+        assert run("benchmark", "--config", cfg, "--out-dir", out) == 1
+        assert f"error: {cfg}: not UTF-8 text: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNonFiniteFloats:
     """Every float flag rejects nan and infinities before the command runs,
@@ -352,6 +360,12 @@ class TestEvaluate:
         model.write_text(f"3 1 1\n0.5 0.5 {token} 0.5 0.5 0.5\n")
         assert run("evaluate", "--model", model, "--data", synth_csv) == 1
         assert f"model.txt: line 2, value 3: cannot parse '{token}'" in capsys.readouterr().err
+
+    def test_non_utf8_model_names_the_file(self, synth_csv, tmp_path, capsys):
+        model = tmp_path / "bad.txt"
+        model.write_bytes(b"1 1 1\n0.5 0.5 0.5 \xff\n")
+        assert run("evaluate", "--model", model, "--data", synth_csv) == 1
+        assert f"error: {model}: not UTF-8 text: " in capsys.readouterr().err
 
     def test_reference_fixture_prints_fold_one_metrics(self, tmp_path, capsys):
         """A model/dataset pair realizing tp=37 fp=0 fn=2 tn=18 prints the

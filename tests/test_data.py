@@ -72,6 +72,15 @@ class TestLoadCsv:
                            match=r"data.csv: line 3: field larger than field limit"):
             load_csv(path, "label")
 
+    def test_lines_after_a_quoted_field_spanning_lines_are_file_lines(self, tmp_path):
+        """Rows are numbered by the file line they start on, not by record."""
+        path = write(tmp_path, 'a,label\n"1\n",0\nx,1\n')
+        with pytest.raises(ValueError, match=r"data.csv: line 4, column 'a': cannot parse 'x'"):
+            load_csv(path, "label")
+        path = write(tmp_path, 'a,label\n"1\n",0\n"2\n\n",1\n3\n')
+        with pytest.raises(ValueError, match=r"data.csv: line 7 has 1 cells, expected 2"):
+            load_csv(path, "label")
+
     def test_non_utf8_byte_names_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"a,label\n1,0\n\xff,1\n")

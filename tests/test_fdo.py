@@ -92,7 +92,14 @@ def sprinkle(rng, values, specials, share):
 
 def reference_optimize(objective, config):
     """The per-scout sequential schedule the batched step must reproduce:
-    each scout draws its own r, proposes, and retries before the next one."""
+    each scout draws its own r, proposes, and retries before the next one.
+
+    A retry already rejected from the scout's current position with its
+    current pace is evaluated anyway, to prove that its value is, bit for
+    bit, the one recorded at that rejection and no improvement; it counts
+    as an evaluation but not as an objective call, which the batched step
+    skips. Returns the curve, the best, its value, the evaluations and the
+    objective calls."""
     rng = np.random.default_rng(config.seed)
     lower, upper = np.asarray(config.bounds).T
     positions, fitness, paces = [], [], []
@@ -102,7 +109,8 @@ def reference_optimize(objective, config):
         paces.append(np.zeros(config.dimension))
     b = int(np.argmin(fitness))
     best, best_fitness = positions[b].copy(), fitness[b]
-    curve, evaluations = [], config.population
+    known = [None] * config.population
+    curve, evaluations, calls = [], config.population, config.population
     for _ in range(config.max_iterations):
         for i in range(config.population):
             fw = None if fitness[i] == 0.0 else abs(best_fitness / fitness[i]) - config.weight_factor
@@ -115,19 +123,27 @@ def reference_optimize(objective, config):
             candidate = np.clip(positions[i] + pace, lower, upper)
             value = float(objective(candidate))
             evaluations += 1
+            calls += 1
             if value < fitness[i]:
                 positions[i], fitness[i], paces[i] = candidate, value, pace
+                known[i] = None
                 continue
             retry = np.clip(positions[i] + paces[i], lower, upper)
             value = float(objective(retry))
             evaluations += 1
+            if known[i] is not None:
+                assert value.hex() == known[i] and value >= fitness[i]
+                continue
+            calls += 1
             if value < fitness[i]:
                 positions[i], fitness[i] = retry, value
+            else:
+                known[i] = value.hex()
         for i in range(config.population):
             if fitness[i] < best_fitness:
                 best, best_fitness = positions[i].copy(), fitness[i]
         curve.append(best_fitness)
-    return curve, best, best_fitness, evaluations
+    return curve, best, best_fitness, evaluations, calls
 
 
 class TestFdoConfig:
@@ -407,6 +423,49 @@ class TestStep:
         np.testing.assert_array_equal(swarm.positions, [[2.0]])
         np.testing.assert_array_equal(swarm.last_pace, [[-4.0]])
 
+    def test_tied_retry_is_not_passed_again(self):
+        """A retry that only ties closes the scout: on its next rejected
+        proposal the retry is counted but no retry row reaches the objective."""
+        config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
+        swarm = one_scout([2.0], 4.0, [1.0], 1.0, last_pace=[-4.0])
+        assert swarm.retry_open.tolist() == [True]
+        calls = []
+
+        def traced(x):
+            calls.append(x[:, 0].tolist())
+            return sphere(x)
+
+        # Both steps propose 2.25 and reject it; the first retry -2 ties at 4.
+        assert step(swarm, traced, config, FakeRng([[[0.5]]])) == 2
+        assert swarm.retry_open.tolist() == [False]
+        assert step(swarm, traced, config, FakeRng([[[0.5]]])) == 2
+        assert calls == [[2.25], [-2.0], [2.25]]
+        np.testing.assert_array_equal(swarm.positions, [[2.0]])
+        assert swarm.fitness.tolist() == [4.0]
+
+    def test_accepted_proposal_reopens_retry(self):
+        """A closed scout that accepts a first proposal has a new position
+        and pace, so its next rejection is retried again."""
+        config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
+        swarm = one_scout([2.0], 4.0, [1.0], 1.0, last_pace=[-4.0])
+        calls = []
+
+        def traced(x):
+            calls.append(x[:, 0].tolist())
+            return sphere(x)
+
+        # The tied retry -2 closes the scout; then r = -0.9 moves it toward
+        # the best by 0.25 to 1.75 with pace -0.25; then the proposal is
+        # rejected and the retry 1.75 - 0.25 = 1.5 is evaluated and taken.
+        rng = FakeRng([[[0.5]], [[-0.9]], [[0.5]]])
+        assert step(swarm, traced, config, rng) == 2
+        assert step(swarm, traced, config, rng) == 1
+        assert swarm.retry_open.tolist() == [True]
+        assert step(swarm, traced, config, rng) == 2
+        assert len(calls) == 5 and calls[1] == [-2.0] and calls[4] == [1.5]
+        np.testing.assert_array_equal(swarm.positions, [[1.5]])
+        np.testing.assert_array_equal(swarm.last_pace, [[-0.25]])
+
     def test_tie_with_global_best_keeps_incumbent(self):
         config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=1)
         swarm = one_scout([-1.0], 1.0, [1.0], 1.0)
@@ -456,11 +515,14 @@ class TestStep:
 
     def test_one_draw_block_and_one_retry_per_rejection(self):
         """An iteration draws one (P, d) block, evaluates every first
-        proposal, then retries exactly the scouts whose proposal was rejected."""
+        proposal, then counts one retry per rejected proposal. The objective
+        sees exactly the retries of the rejected scouts whose retry has not
+        been rejected since their last move; the others are known."""
         config = FdoConfig(bounds=uniform_bounds(-5, 5, 3), population=9, seed=6)
         swarm = initialize_swarm(config, sphere, np.random.default_rng(6))
         rng = RecordingRng(60)
-        retried = 0
+        closed = np.zeros(9, dtype=bool)
+        retried = skipped = 0
         for _ in range(5):
             before = swarm.fitness.copy()
             calls = []
@@ -472,10 +534,16 @@ class TestStep:
             rng.sizes.clear()
             made = step(swarm, row_form(traced), config, rng)
             assert rng.sizes == [(9, 3)]
-            rejected = int(np.sum(np.array(calls[:9]) >= before))
-            assert made == len(calls) == 9 + rejected
+            rejected_mask = np.array(calls[:9]) >= before
+            rejected = int(np.sum(rejected_mask))
+            assert made == 9 + rejected
+            evaluated = np.flatnonzero(rejected_mask & ~closed)
+            assert len(calls) == 9 + evaluated.size
+            closed[~rejected_mask] = False
+            closed[evaluated] = np.array(calls[9:]) >= before[evaluated]
             retried += rejected
-        assert retried > 0
+            skipped += rejected - evaluated.size
+        assert retried > 0 and skipped > 0
 
     def test_retry_phase_error_carries_position_and_iteration(self):
         """Iteration 0 accepts a move of pace -1 (to x = 1); iteration 1
@@ -518,18 +586,27 @@ class TestStep:
         for objective, (lo, hi), d, population, wf, seed in cases:
             config = FdoConfig(bounds=uniform_bounds(lo, hi, d), population=population,
                                max_iterations=40, weight_factor=wf, seed=seed)
-            result = optimize(objective, config)
-            curve, best, best_fitness, evaluations = reference_optimize(objective, config)
+            rows = []
+
+            def counted(x, objective=objective):
+                rows.append(len(x))
+                return objective(x)
+
+            result = optimize(counted, config)
+            curve, best, best_fitness, evaluations, calls = reference_optimize(
+                objective, config)
             assert list(result.curve.values) == curve
             assert result.best_position.tobytes() == best.tobytes()
             assert result.best_fitness == best_fitness
             assert result.evaluations == evaluations
+            assert sum(rows) == calls < evaluations
 
 
 class TestObjectiveCalls:
     def test_one_call_per_phase(self):
         """One call for the population, one for every iteration's first
-        proposals and one for its retries when any proposal was rejected."""
+        proposals and one for its retries when any rejected scout's retry
+        is not yet known to fail."""
         config = FdoConfig(bounds=uniform_bounds(-5, 5, 3), population=9,
                            max_iterations=30, seed=6)
         shapes = []
@@ -541,12 +618,21 @@ class TestObjectiveCalls:
         result = optimize(recorded, config)
         rng = np.random.default_rng(config.seed)
         swarm = initialize_swarm(config, sphere, rng)
-        with_rejection = sum(step(swarm, sphere, config, rng) > config.population
-                             for _ in range(config.max_iterations))
-        assert 0 < with_rejection <= config.max_iterations
-        assert len(shapes) == 1 + config.max_iterations + with_rejection
+        replayed = []
+
+        def replay(x):
+            replayed.append(x.shape)
+            return sphere(x)
+
+        with_retries = 0
+        for _ in range(config.max_iterations):
+            calls = len(replayed)
+            step(swarm, replay, config, rng)
+            with_retries += len(replayed) - calls - 1
+        assert 0 < with_retries <= config.max_iterations
+        assert len(shapes) == 1 + config.max_iterations + with_retries
         assert all(len(shape) == 2 and shape[1] == 3 for shape in shapes)
-        assert sum(rows for rows, _ in shapes) == result.evaluations
+        assert sum(rows for rows, _ in shapes) == 392 < result.evaluations == 431
         assert shapes[:2] == [(9, 3), (9, 3)]
 
     def test_scalar_result_rejected_with_both_shapes(self):

@@ -79,6 +79,41 @@ def test_sphere_seed_zero():
         "3700038fa8293b458dfbbb12c384e3ad5d2d09c5ebb3df66fd8cf0f4f7ea5fd3")
 
 
+def _row_counting(objective):
+    """``objective`` and a one-item list that sums the rows passed to it."""
+    rows = [0]
+
+    def counted(x):
+        rows[0] += len(x)
+        return objective(x)
+
+    return counted, rows
+
+
+def test_sphere_seed_zero_objective_rows():
+    """The run of test_sphere_seed_zero passes the objective 20,022 of its
+    27,707 evaluations; the rest are retries already known to fail."""
+    objective, rows = _row_counting(get_benchmark("sphere", 10).evaluate)
+    config = FdoConfig(bounds=uniform_bounds(-100, 100, 10), population=30,
+                       max_iterations=500, seed=0)
+    result = optimize(objective, config)
+    assert repr(result.best_fitness) == "8.697452883515544e-63"
+    assert (rows[0], result.evaluations) == (20022, 27707)
+
+
+def test_fdo_fold_one_search_objective_rows():
+    """The search of test_fdo_fold_one_search passes the objective 3,459 of
+    its 5,618 evaluations."""
+    train, rng = _criterion_7_fold_one()
+    config = TrainingConfig.for_topology(TOPOLOGY, population=40,
+                                         max_iterations=75, seed=11)
+    objective, rows = _row_counting(
+        make_objective(config.topology, train, config.sigmoid_output))
+    result = optimize(objective, config.fdo, rng)
+    assert repr(result.best_fitness) == "0.008407583112692088"
+    assert (rows[0], result.evaluations) == (3459, 5618)
+
+
 def test_crossval_report_bytes(tmp_path):
     """Criterion 10's small sigmoid-output cross-validation: fold MSEs and
     rates, confusion-derived metrics and AUC, byte for byte."""

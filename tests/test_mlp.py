@@ -259,6 +259,12 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"model\.txt: malformed topology line '0 1 1'"):
             load_params(path)
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_bytes(b"1 1 1\n0.5 \xff\n")
+        with pytest.raises(ValueError, match=r"model\.txt: not UTF-8 text: .* 0xff"):
+            load_params(path)
+
     def test_truncated_file(self):
         with pytest.raises(ValueError):
             params_from_text("1 1 1\n")
