@@ -4,8 +4,11 @@ Three shapes cover the cases that matter for a sanity check: one convex
 bowl (sphere), one highly multimodal surface (rastrigin), and one curved
 narrow valley (rosenbrock). Each maps one ``(d,)`` point to a scalar and a
 ``(k, d)`` matrix to one value per row, so it serves directly as an FDO
-objective. The registry is a plain dict so more functions can be added
-without touching the CLI.
+objective. Rows are reduced by ``np.add.reduce``, the ufunc reduction that
+``np.sum`` wraps in Python: the same bits at a fraction of the cost per call,
+which counts for an optimizer that calls the objective every phase. The
+registry is a plain dict so more functions can be added without touching
+the CLI.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ class BenchmarkFunction:
 def sphere(x):
     """Sum of squared components; minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def rastrigin(x):
     """10*d + sum(x_i^2 - 10*cos(2*pi*x_i)); minimum 0 at the origin."""
     x = np.asarray(x, dtype=float)
-    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+    return 10.0 * x.shape[-1] + np.add.reduce(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
 
 
 def rosenbrock(x):
@@ -41,7 +44,7 @@ def rosenbrock(x):
     if x.ndim == 0 or x.shape[-1] < 2:
         raise ValueError("rosenbrock needs at least 2 dimensions")
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    return np.add.reduce(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
 _REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], tuple[float, float], int]] = {

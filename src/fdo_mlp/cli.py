@@ -396,6 +396,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise CliError("repeats must be at least 1")
     bench = get_benchmark(args.function, args.dimension)
     bounds = uniform_bounds(bench.default_bounds[0], bench.default_bounds[1],
                             args.dimension)

@@ -212,6 +212,10 @@ def compute_pace(positions: np.ndarray, best_position: np.ndarray,
     componentwise by r. Otherwise each component moves toward the global
     best (r < 0) or away from it (r >= 0) by fw times the distance along
     that axis.
+
+    The shapes are checked here and the arithmetic is :func:`_pace`'s. The
+    step calls the unvalidated ``_pace`` directly, as its own arrays always
+    have these shapes.
     """
     shape = np.shape(positions)
     received = (shape, np.shape(best_position), np.shape(fw), np.shape(r))
@@ -219,6 +223,12 @@ def compute_pace(positions: np.ndarray, best_position: np.ndarray,
         raise ValueError(
             "positions, best_position, fw and r must have shapes (P, d), (d,), "
             f"(P,) and (P, d); got {', '.join(map(str, received))}")
+    return _pace(positions, best_position, fw, r)
+
+
+def _pace(positions: np.ndarray, best_position: np.ndarray, fw: np.ndarray,
+          r: np.ndarray) -> np.ndarray:
+    """:func:`compute_pace` without its shape check."""
     toward = (0.0 < fw) & (fw < 1.0)
     # The signed factor is -fw where r < 0 and fw elsewhere, built by
     # arithmetic: a masked negate branches on every element of a random
@@ -259,7 +269,7 @@ def _evaluate_rows(objective: Objective, rows: np.ndarray) -> np.ndarray:
 
 def _refresh_best(swarm: Swarm) -> None:
     """Replace the global best by the first scout strictly better than it."""
-    i = int(np.argmin(swarm.fitness))
+    i = int(swarm.fitness.argmin())
     if swarm.fitness[i] < swarm.best_fitness:
         swarm.best_position = swarm.positions[i].copy()
         swarm.best_fitness = float(swarm.fitness[i])
@@ -288,8 +298,8 @@ def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
     its pace, on strict improvement, which reopens its retry. Returns the
     number of rejected scouts and the indices of those whose retry is open."""
     fw = fitness_weight(swarm.fitness, swarm.best_fitness, config.weight_factor)
-    pace = compute_pace(swarm.positions, swarm.best_position, fw,
-                        rng.uniform(-1.0, 1.0, swarm.positions.shape))
+    pace = _pace(swarm.positions, swarm.best_position, fw,
+                 rng.uniform(-1.0, 1.0, swarm.positions.shape))
     candidates = _clamp_in_place(swarm.positions + pace, *config._limits)
     values = _evaluate_rows(objective, candidates)
     accepted = values < swarm.fitness
@@ -300,7 +310,7 @@ def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
     np.copyto(swarm.fitness, values, where=accepted)
     swarm.retry_open |= accepted
     rejected = ~accepted
-    return int(np.count_nonzero(rejected)), np.flatnonzero(rejected & swarm.retry_open)
+    return int(np.count_nonzero(rejected)), (rejected & swarm.retry_open).nonzero()[0]
 
 
 def _retries(swarm: Swarm, objective: Objective, config: FdoConfig,
@@ -309,8 +319,10 @@ def _retries(swarm: Swarm, objective: Objective, config: FdoConfig,
     and moves on strict improvement; the pace in use is the stored one, so
     it stays. A scout that moved keeps its retry open; a rejected retry,
     ties included, closes it until the scout next accepts a proposal."""
-    retries = swarm.positions[rejected]
-    retries += swarm.last_pace[rejected]
+    # take gathers the (P, d) rows with less per-call overhead than indexing;
+    # for the 1-D fitness gather below, indexing is the faster of the two
+    retries = swarm.positions.take(rejected, axis=0)
+    retries += swarm.last_pace.take(rejected, axis=0)
     _clamp_in_place(retries, *config._limits)
     values = _evaluate_rows(objective, retries)
     better = values < swarm.fitness[rejected]

@@ -50,6 +50,50 @@ class TestRosenbrock:
             rosenbrock([[1.0], [2.0]])
 
 
+def sum_sphere(x):
+    return np.sum(x * x, axis=-1)
+
+
+def sum_rastrigin(x):
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * np.pi * x), axis=-1)
+
+
+def sum_rosenbrock(x):
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head ** 2) ** 2 + (1.0 - head) ** 2, axis=-1)
+
+
+class TestReductionBits:
+    """Each function reduces with np.add.reduce, the ufunc np.sum wraps; the
+    np.sum forms above, as first written, are the bitwise reference."""
+
+    QUIET = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310])
+    LOUD = np.array([np.inf, -np.inf, np.nan, -np.nan])
+
+    @pytest.mark.parametrize("function, reference", [
+        (sphere, sum_sphere), (rastrigin, sum_rastrigin), (rosenbrock, sum_rosenbrock)])
+    @pytest.mark.parametrize("shape", [(30, 10), (40, 741), (10,), (741,)])
+    def test_bits_match_np_sum_form(self, function, reference, shape):
+        """Signed zeros and subnormals in about a fifth of the entries, and
+        infinities and NaN in about one entry of every other row; one row
+        of the matrices holds signed zeros and subnormals alone. A (d,)
+        position still gives a numpy float64 scalar."""
+        rng = np.random.default_rng(shape[-1])
+        x = rng.uniform(-5.0, 5.0, shape)
+        for specials, share in ((self.QUIET, 0.2), (self.LOUD, 0.5 / shape[-1])):
+            mask = rng.uniform(size=shape) < share
+            x[mask] = rng.choice(specials, int(mask.sum()))
+        if x.ndim == 2:
+            x[0] = rng.choice(self.QUIET, shape[1])
+        with np.errstate(all="ignore"):
+            actual, expected = function(x), reference(x)
+        assert type(actual) is type(expected)
+        assert type(actual) is (np.ndarray if x.ndim == 2 else np.float64)
+        assert np.shape(actual) == shape[:-1]
+        np.testing.assert_array_equal(np.asarray(actual).view(np.int64),
+                                      np.asarray(expected).view(np.int64))
+
+
 class TestRegistry:
     def test_names(self):
         assert benchmark_names() == ["rastrigin", "rosenbrock", "sphere"]

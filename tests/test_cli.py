@@ -553,6 +553,23 @@ class TestBenchmark:
         with pytest.raises(SystemExit):
             run("benchmark", "--function", "ackley", "--out-dir", tmp_path)
 
+    @pytest.mark.parametrize("repeats", [0, -3])
+    def test_repeats_below_one_rejected(self, tmp_path, capsys, repeats):
+        """Refused before any search, not as run_statistics' empty-input
+        error once the loop has run no search."""
+        out = tmp_path / "bench"
+        assert run("benchmark", "--repeats", repeats, "--out-dir", out) == 1
+        assert capsys.readouterr().err == "error: repeats must be at least 1\n"
+        assert not out.exists()
+
+    def test_repeats_below_one_in_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("repeats = 0\n")
+        out = tmp_path / "bench"
+        assert run("benchmark", "--config", cfg, "--out-dir", out) == 1
+        assert capsys.readouterr().err == "error: repeats must be at least 1\n"
+        assert not out.exists()
+
     def test_default_budget_solves_sphere(self, tmp_path, capsys):
         """The stock per-run budget (30 scouts x 500 iterations) drives the
         10-D sphere far below 1e-3; three repeats keep the check quick."""

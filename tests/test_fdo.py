@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fdo_mlp.fdo import (ConvergenceCurve, EvaluationError, FdoConfig, Swarm,
-                         _clamp_in_place, compute_pace,
+                         _clamp_in_place, _pace, compute_pace,
                          fitness_weight, initialize_swarm, optimize, step,
                          uniform_bounds)
 
@@ -333,10 +333,12 @@ class TestComputePace:
         ((3,), (1,), (2, 3), "(2, 3), (3,), (1,), (2, 3)"),
         ((3,), (), (2, 3), "(2, 3), (3,), (), (2, 3)"),
         ((2,), (2,), (2, 3), "(2, 3), (2,), (2,), (2, 3)"),
+        ((2, 3), (2,), (2, 3), "(2, 3), (2, 3), (2,), (2, 3)"),
     ])
     def test_wrong_shapes_rejected_with_all_shapes(self, best, fw, r, received):
         """One row of draws for every scout, one weight for every scout, a
-        scalar weight or a short best are rejected, naming every shape."""
+        scalar weight, or a short or (P, d) best are rejected, naming every
+        shape."""
         with pytest.raises(ValueError, match=re.escape(
                 "must have shapes (P, d), (d,), (P,) and (P, d); got " + received)):
             compute_pace(np.zeros((2, 3)), np.zeros(best),
@@ -345,6 +347,29 @@ class TestComputePace:
     def test_one_dimensional_positions_rejected(self):
         with pytest.raises(ValueError, match=re.escape("got (3,), (3,), (1,), (3,)")):
             compute_pace(np.zeros(3), np.zeros(3), np.full(1, 0.5), np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(30, 10), (40, 741)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unvalidated_pace_gives_compute_pace_bits(self, shape, seed):
+        """The step's ``_pace`` is compute_pace without the shape check: on
+        test_bits_match_masked_negate_form's inputs it gives the same bits,
+        and leaves its inputs as they were."""
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(-3.0, 3.0, shape)
+        best = rng.uniform(-3.0, 3.0, shape[1])
+        r = rng.uniform(-1.0, 1.0, shape)
+        for values in (positions, best, r):
+            sprinkle(rng, values, TINY, 0.2)
+        same = rng.uniform(size=shape) < 0.1
+        positions[same] = np.broadcast_to(best, shape)[same]
+        fw = rng.uniform(0.0, 1.0, shape[0])
+        sprinkle(rng, fw, np.array([0.0, -0.0, 1.0, np.inf, np.nan, -0.5, 5e-324,
+                                    1.0 - 2.0 ** -53, 2.0]), 0.5)
+        inputs = [a.copy() for a in (positions, best, fw, r)]
+        expected = compute_pace(positions, best, fw, r)
+        assert_same_bits(_pace(positions, best, fw, r), expected)
+        for before, after in zip(inputs, (positions, best, fw, r)):
+            assert_same_bits(after, before)
 
 
 class TestInitializeSwarm:
