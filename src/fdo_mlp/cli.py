@@ -12,7 +12,8 @@ of the box, and all file output is written to a temporary file and renamed
 into place.
 
 After its parameters, ``model.txt`` records in the config format the columns,
-scaling, output activation and threshold that ``evaluate`` replays.
+scaling, output activation and threshold that ``evaluate`` replays; a model
+file without them is rejected, naming the file.
 """
 
 from __future__ import annotations
@@ -221,10 +222,7 @@ def _read_model(path: str):
     """Params, columns, normalization, sigmoid output, threshold of a model file."""
     text = read_text(path)
     params = params_from_text(text, source=path)
-    lines = text.splitlines()
-    entries = parse_key_values(lines[2:], path, first_line=3)
-    if not entries:
-        return params, None, None, True, 0.5
+    entries = parse_key_values(text.splitlines()[2:], path, first_line=3)
     inputs = params.topology.inputs
     train = argparse.ArgumentParser()
     _add_train_args(train)
@@ -235,7 +233,7 @@ def _read_model(path: str):
     values = _convert_entries(entries, path, actions)
     missing = [dest.replace("_", "-") for dest in actions if dest not in values]
     if missing:
-        raise CliError(f"{path}: lines 3-{len(lines)}: no {missing[0]!r} key")
+        raise CliError(f"{path}: no {missing[0]!r} key after line 2")
     names = _column_names(values["keep_columns"])
     if len(names) != inputs:
         raise CliError(f"{path}: line {entries['keep_columns'][0]}: {len(names)} "
@@ -281,6 +279,8 @@ def _print_metrics(report) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise CliError("seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     data = generate_synthetic(args.samples, args.features, args.separation,
                               args.balance, rng)
@@ -327,13 +327,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, names, state, sigmoid_output, threshold = _read_model(args.model)
-    data = load_csv(args.data, args.label_column)
-    data = (min_max_normalize(data) if state is None
-            else normalize_with(select_features(data, names), state))
-    if data.n_features != params.topology.inputs:
-        raise CliError(
-            f"dataset has {data.n_features} features but the model expects "
-            f"{params.topology.inputs}")
+    data = normalize_with(select_features(load_csv(args.data, args.label_column), names),
+                          state)
     _, _, cm, report = score(params, data, threshold, sigmoid_output)
     print("confusion matrix (class 1 positive):")
     print(f"  tp={cm.tp}  fp={cm.fp}")

@@ -247,20 +247,17 @@ def bp_trainer(learning_rate: float, epochs: int) -> Trainer:
 
 
 def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
-                   rng: np.random.Generator | None = None,
                    train: Trainer | None = None) -> CrossValReport:
     """Rotate through k folds, training on k-1 and testing on the held-out one.
 
-    Fold membership is shuffled with the supplied rng (seeded from the
-    optimizer config when omitted), and each fold trains from its own
-    derived random stream so folds are independent. Normalization is fitted
-    on each fold's training rows and replayed onto its test rows. A training
-    split containing a single class aborts with the fold named.
+    One generator seeded from ``config.fdo.seed`` shuffles fold membership
+    and then spawns one stream per fold, from which that fold trains, so
+    folds are independent. Normalization is fitted on each fold's training
+    rows and replayed onto its test rows. A training split containing a
+    single class aborts with the fold named.
     """
-    if train is None:
-        train = train_fdo_mlp
-    if rng is None:
-        rng = np.random.default_rng(config.fdo.seed)
+    train = train or train_fdo_mlp
+    rng = np.random.default_rng(config.fdo.seed)
     assignment = kfold_splits(data.n_samples, k, rng)
     fold_rngs = rng.spawn(k)
     reports: list[FoldReport] = []

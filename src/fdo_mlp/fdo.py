@@ -207,28 +207,12 @@ def compute_pace(positions: np.ndarray, best_position: np.ndarray,
 
     ``positions`` is ``(P, d)``, ``best_position`` ``(d,)``, ``fw`` holds
     one weight per scout ``(P,)`` and ``r`` one draw in [-1, 1] per scout
-    and dimension ``(P, d)``; any other shape is rejected. For fw outside
-    the open interval (0, 1) the pace is the scout's own position scaled
-    componentwise by r. Otherwise each component moves toward the global
-    best (r < 0) or away from it (r >= 0) by fw times the distance along
-    that axis.
-
-    The shapes are checked here and the arithmetic is :func:`_pace`'s. The
-    step calls the unvalidated ``_pace`` directly, as its own arrays always
-    have these shapes.
+    and dimension ``(P, d)``. The shapes are not checked: the step's own
+    arrays always have them. For fw outside the open interval (0, 1) the
+    pace is the scout's own position scaled componentwise by r. Otherwise
+    each component moves toward the global best (r < 0) or away from it
+    (r >= 0) by fw times the distance along that axis.
     """
-    shape = np.shape(positions)
-    received = (shape, np.shape(best_position), np.shape(fw), np.shape(r))
-    if len(shape) != 2 or received[1:] != (shape[1:], shape[:1], shape):
-        raise ValueError(
-            "positions, best_position, fw and r must have shapes (P, d), (d,), "
-            f"(P,) and (P, d); got {', '.join(map(str, received))}")
-    return _pace(positions, best_position, fw, r)
-
-
-def _pace(positions: np.ndarray, best_position: np.ndarray, fw: np.ndarray,
-          r: np.ndarray) -> np.ndarray:
-    """:func:`compute_pace` without its shape check."""
     toward = (0.0 < fw) & (fw < 1.0)
     # The signed factor is -fw where r < 0 and fw elsewhere, built by
     # arithmetic: a masked negate branches on every element of a random
@@ -298,8 +282,8 @@ def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
     its pace, on strict improvement, which reopens its retry. Returns the
     number of rejected scouts and the indices of those whose retry is open."""
     fw = fitness_weight(swarm.fitness, swarm.best_fitness, config.weight_factor)
-    pace = _pace(swarm.positions, swarm.best_position, fw,
-                 rng.uniform(-1.0, 1.0, swarm.positions.shape))
+    pace = compute_pace(swarm.positions, swarm.best_position, fw,
+                        rng.uniform(-1.0, 1.0, swarm.positions.shape))
     candidates = _clamp_in_place(swarm.positions + pace, *config._limits)
     values = _evaluate_rows(objective, candidates)
     accepted = values < swarm.fitness

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import read_text
-
 
 @dataclass(frozen=True)
 class MlpTopology:
@@ -232,8 +230,3 @@ def params_from_text(text: str, source: str = "<text>") -> MlpParams:
         values.append(value)
     return decode(np.array(values, dtype=float), topology)
 
-
-def load_params(path) -> MlpParams:
-    """Read the parameters, the first two lines, of a ``fdo-mlp train`` model
-    file; a file that is not UTF-8 fails naming it."""
-    return params_from_text(read_text(path), source=str(path))

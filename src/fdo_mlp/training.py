@@ -229,6 +229,7 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
                                          sigmoid_output, work)[1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
                  learning_rate: float, epochs: int,
                  rng: np.random.Generator | None = None,
@@ -239,7 +240,7 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     else from ``DEFAULT_SEED``. The best parameters over all epochs
     (including the initial ones) are returned, and the curve tracks the best
     MSE seen after each epoch. A non-finite loss aborts the run with the
-    offending epoch in the message.
+    offending epoch in the message, without numpy's overflow warnings.
 
     The run updates one set of parameter arrays in place and copies them
     into the returned best arrays only when the loss strictly improves; the

@@ -10,7 +10,7 @@ import pytest
 from fdo_mlp.cli import build_parser, main
 from fdo_mlp.data import load_csv, min_max_normalize, select_features, xor_csv_path
 from fdo_mlp.evaluation import score
-from fdo_mlp.mlp import MlpTopology, load_params, params_to_text
+from fdo_mlp.mlp import MlpTopology, params_from_text, params_to_text
 from fdo_mlp.training import TrainingConfig, train_fdo_mlp
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -18,6 +18,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def read_params(path):
+    """The parameters on the first two lines of a model file."""
+    return params_from_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
 @pytest.fixture()
@@ -46,6 +51,18 @@ class TestGenerate:
         data = load_csv(synth_csv, "label")
         assert data.n_samples == 60
         assert data.n_features == 3
+
+    @pytest.mark.parametrize("source", ["flag", "key"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, source):
+        """Refused with the message the other commands give, not numpy's
+        generator error, which names neither the option nor its value."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        given = ["--seed", -1] if source == "flag" else ["--config", cfg]
+        out = tmp_path / "data.csv"
+        assert run("generate", *given, "--out", out) == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative\n"
+        assert not out.exists()
 
 
 class TestTrain:
@@ -78,6 +95,15 @@ class TestTrain:
                    "--epochs", 80, "--seed", 2, "--out-dir", out) == 0
         lines = (out / "convergence.csv").read_text().splitlines()
         assert len(lines) == 81
+
+    def test_diverging_bp_run_prints_only_the_error(self, synth_csv, tmp_path, capsys):
+        """No numpy overflow warning comes before the error line."""
+        out = tmp_path / "run"
+        assert run("train", "--data", synth_csv, "--trainer", "bp",
+                   "--output-activation", "linear", "--learning-rate", 1e300,
+                   "--epochs", 3, "--out-dir", out) == 1
+        assert capsys.readouterr().err == "error: training diverged at epoch 1\n"
+        assert not out.exists()
 
     def test_default_budget_is_40_scouts_by_75_iterations(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -348,12 +374,6 @@ class TestEvaluate:
         accuracy = float(eval_stdout.split("accuracy")[1].split("raw")[1].split(")")[0])
         assert accuracy == pytest.approx(rate, abs=5e-7)
 
-    def test_width_mismatch_fails(self, synth_csv, tmp_path, capsys):
-        model = tmp_path / "model.txt"
-        model.write_text("2 3 1\n" + " ".join(["0.0"] * 13) + "\n")
-        assert run("evaluate", "--model", model, "--data", synth_csv) == 1
-        assert "features" in capsys.readouterr().err
-
     @pytest.mark.parametrize("token", ["nan", "inf", "abc"])
     def test_model_value_that_is_not_finite_fails(self, synth_csv, tmp_path, capsys, token):
         model = tmp_path / "model.txt"
@@ -370,9 +390,11 @@ class TestEvaluate:
     def test_reference_fixture_prints_fold_one_metrics(self, tmp_path, capsys):
         """A model/dataset pair realizing tp=37 fp=0 fn=2 tn=18 prints the
         reference metric row 0.94 / 1.00 / 1.00 / 0.90 / 0.96."""
-        # Steep sigmoid unit: prediction is simply feature > 0.5.
+        # Steep sigmoid unit on unscaled x: prediction is simply x > 0.5.
         model = tmp_path / "step.txt"
-        model.write_text("1 1 1\n1000.0 -500.0 1000.0 -500.0\n")
+        model.write_text("1 1 1\n1000.0 -500.0 1000.0 -500.0\nkeep-columns = x\n"
+                         "mins = 0.0\nmaxs = 1.0\noutput-activation = sigmoid\n"
+                         "threshold = 0.5\n")
         rows = (["0.9,1"] * 37) + (["0.1,1"] * 2) + (["0.1,0"] * 18)
         data = tmp_path / "fixture.csv"
         data.write_text("x,label\n" + "\n".join(rows) + "\n")
@@ -420,7 +442,7 @@ class TestEvaluateReplaysTraining:
                                                               values.split(","))}
         assert _raw_metrics(printed) == expected
         data = select_features(load_csv(wide_csv, "label"), columns)
-        _, _, cm, _ = score(load_params(out / "model.txt"), min_max_normalize(data),
+        _, _, cm, _ = score(read_params(out / "model.txt"), min_max_normalize(data),
                             threshold, sigmoid_output)
         assert f"tp={cm.tp}  fp={cm.fp}" in printed and f"fn={cm.fn}  tn={cm.tn}" in printed
 
@@ -436,7 +458,7 @@ class TestEvaluateReplaysTraining:
         capsys.readouterr()
         assert run("evaluate", "--model", out / "model.txt", "--data", subset) == 0
         trained = min_max_normalize(load_csv(wide_csv, "label")).subset(picked)
-        _, rate, _, _ = score(load_params(out / "model.txt"), trained, 0.5, True)
+        _, rate, _, _ = score(read_params(out / "model.txt"), trained, 0.5, True)
         assert _raw_metrics(capsys.readouterr().out)["accuracy"] == f"{rate:.6f}"
 
     @pytest.mark.parametrize("removed", [
@@ -457,7 +479,7 @@ class TestEvaluateReplaysTraining:
         ("= 0.5\n", "= 0.5\nspeed = 3\n", "line 8: unknown configuration key 'speed'"),
         ("= 0.5\n", "= 0.5\nthreshold = 0.4\n",
          "line 8: configuration key 'threshold' repeats 'threshold' from line 7"),
-        ("maxs = 1.0 1.0\n", "", "lines 3-6: no 'maxs' key"),
+        ("maxs = 1.0 1.0\n", "", "no 'maxs' key after line 2"),
         ("mins = 0.0 0.0", "mins = 0.0", "line 4: configuration key 'mins': expected 2 values"),
         ("maxs = 1.0 1.0", "maxs = 1.0 1.0 1.0",
          "line 5: configuration key 'maxs': expected 2 values"),
@@ -469,9 +491,10 @@ class TestEvaluateReplaysTraining:
         ("x2,x1", "", "line 3: 0 columns for a model of 2 inputs"),
         ("x2,x1", "x1", "line 3: 1 columns for a model of 2 inputs"),
         ("mins =", "mins", "line 4: expected 'key = value'"),
+        (MODEL[MODEL.index("keep-columns"):], "", "no 'keep-columns' key after line 2"),
     ], ids=["unknown-key", "repeated-key", "missing-key", "short-mins", "long-maxs",
             "infinite-max", "nan-threshold", "unknown-activation", "sigmoid-threshold",
-            "empty-columns", "too-few-columns", "no-equals"])
+            "empty-columns", "too-few-columns", "no-equals", "two-line-file"])
     def test_model_file_error_names_file_and_line(self, tmp_path, capsys, old, new, message):
         model = tmp_path / "model.txt"
         model.write_text(self.MODEL.replace(old, new))
@@ -583,6 +606,6 @@ class TestBenchmark:
         out = tmp_path / "run"
         run("train", "--data", xor_csv_path(), "--population", 8,
             "--iterations", 5, "--seed", 3, "--out-dir", out)
-        params = load_params(out / "model.txt")
+        params = read_params(out / "model.txt")
         assert params.topology.inputs == 2
         assert params.topology.hidden == 5

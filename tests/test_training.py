@@ -481,14 +481,21 @@ class TestTrainBpMlp:
         train_bp_mlp(XOR, MlpTopology(2, 3, 1), 0.5, 12, np.random.default_rng(3))
         assert len(calls) == 12 + 1  # every epoch plus the initial weights
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_names_epoch(self):
         rng = np.random.default_rng(1)
         data = random_dataset(rng, 8, 3)
         with pytest.raises(EvaluationError, match="epoch"):
             train_bp_mlp(data, MlpTopology(3, 4, 1), 1e12, 50,
                          np.random.default_rng(1))
+
+    def test_overflow_raises_divergence_not_a_warning(self):
+        """A step so large that the loss overflows at epoch 1 raises the
+        documented error, not numpy's overflow warning, under the suite's
+        warnings-as-errors filter."""
+        data = min_max_normalize(generate_synthetic(40, 3, 6.0, 0.5,
+                                                    np.random.default_rng(1)))
+        with pytest.raises(EvaluationError, match="^training diverged at epoch 1$"):
+            train_bp_mlp(data, MlpTopology(3, 7, 1), 1e300, 3, np.random.default_rng(0))
 
     def test_learns_xor_majority(self):
         """Plain gradient descent solves XOR from most starts."""
