@@ -306,8 +306,28 @@ class TestComputePace:
     def test_bits_match_masked_negate_form(self, shape, seed):
         """Signed zeros and subnormals in positions, best and r, and fw of
         0, -0, 1, inf, NaN and negative beside fw in (0, 1), subnormal
-        included, give the masked-negate form's bits and leave the inputs
-        as they were."""
+        included, give the masked-negate form's bits."""
+        rng = np.random.default_rng(seed)
+        positions = rng.uniform(-3.0, 3.0, shape)
+        best = rng.uniform(-3.0, 3.0, shape[1])
+        r = rng.uniform(-1.0, 1.0, shape)
+        for values in (positions, best, r):
+            sprinkle(rng, values, TINY, 0.2)
+        same = rng.uniform(size=shape) < 0.1
+        positions[same] = np.broadcast_to(best, shape)[same]
+        fw = rng.uniform(0.0, 1.0, shape[0])
+        sprinkle(rng, fw, np.array([0.0, -0.0, 1.0, np.inf, np.nan, -0.5, 5e-324,
+                                    1.0 - 2.0 ** -53, 2.0]), 0.5)
+        expected = masked_negate_pace(positions, best, fw, r)
+        assert_same_bits(compute_pace(positions, best, fw, r), expected)
+
+    @pytest.mark.parametrize("shape", [(30, 10), (40, 741)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unvalidated_pace_gives_compute_pace_bits(self, shape, seed):
+        """compute_pace checks no shapes and writes only its own result: on
+        test_bits_match_masked_negate_form's inputs, handed over read-only
+        and in Fortran order, it gives the bits it gives on C-ordered
+        writable copies, and leaves its inputs as they were."""
         rng = np.random.default_rng(seed)
         positions = rng.uniform(-3.0, 3.0, shape)
         best = rng.uniform(-3.0, 3.0, shape[1])
@@ -320,9 +340,12 @@ class TestComputePace:
         sprinkle(rng, fw, np.array([0.0, -0.0, 1.0, np.inf, np.nan, -0.5, 5e-324,
                                     1.0 - 2.0 ** -53, 2.0]), 0.5)
         inputs = [a.copy() for a in (positions, best, fw, r)]
-        expected = masked_negate_pace(positions, best, fw, r)
-        assert_same_bits(compute_pace(positions, best, fw, r), expected)
-        for before, after in zip(inputs, (positions, best, fw, r)):
+        expected = compute_pace(*inputs)
+        frozen = [np.asfortranarray(a) for a in (positions, best, fw, r)]
+        for a in frozen:
+            a.flags.writeable = False
+        assert_same_bits(compute_pace(*frozen), expected)
+        for before, after in zip(inputs, frozen):
             assert_same_bits(after, before)
 
 
