@@ -218,6 +218,23 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
     return data
 
 
+def _check_ranges(path: str, line: int, names, mins, maxs) -> None:
+    """Reject min-max ranges that scaling cannot replay: reversed ones, and
+    widths that overflow or whose reciprocal does. ``maxs == mins``, which a
+    constant training column writes, scales to 0 and stays."""
+    for name, lo, hi in zip(names, mins, maxs):
+        width = hi - lo
+        if width < 0.0:
+            problem = f"is below its mins {lo!r}"
+        elif not math.isfinite(width):
+            problem = f"minus its mins {lo!r} overflows"
+        elif width > 0.0 and not math.isfinite(1.0 / width):
+            problem = f"is too close to its mins {lo!r} to scale by"
+        else:
+            continue
+        raise CliError(f"{path}: line {line}: maxs {hi!r} of column {name!r} {problem}")
+
+
 def _read_model(path: str):
     """Params, columns, normalization, sigmoid output, threshold of a model file."""
     text = read_text(path)
@@ -243,6 +260,7 @@ def _read_model(path: str):
         check_threshold(values["threshold"], sigmoid_output)
     except ValueError as err:
         raise CliError(f"{path}: line {entries['threshold'][0]}: {err}") from None
+    _check_ranges(path, entries["maxs"][0], names, values["mins"], values["maxs"])
     state = NormalizationState(np.array(values["mins"]), np.array(values["maxs"]))
     return params, names, state, sigmoid_output, values["threshold"]
 

@@ -187,19 +187,23 @@ def _backprop_work(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
 
 
 def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
-                       sigmoid_output: bool, work: tuple[np.ndarray, ...]
+                       sigmoid_output: bool, work: tuple[np.ndarray, ...],
+                       grads: tuple[np.ndarray, ...] | None = None
                        ) -> tuple[float, tuple[np.ndarray, ...]]:
     """:func:`mse_fitness` and its gradient from one forward pass over the
     features ``x`` against a prebuilt :func:`_target_matrix`.
 
-    The gradient comes as four fresh arrays laid out like the params. Every
-    hidden-layer-sized value is computed in ``work``, from
-    :func:`_backprop_work`, so a call allocates only arrays of the size of
-    the output layer and of the gradient.
+    The gradient comes as four arrays laid out like the params: ``grads``,
+    written in place, or else four fresh ones. Every hidden-layer-sized value
+    is computed in ``work``, from :func:`_backprop_work`, so a call given
+    ``grads`` allocates only arrays of the size of the output layer.
 
-    ``d_out @ V.T`` stays a matrix product even with one output unit: where
-    a zero of ``d_out`` meets a negative weight, BLAS returns +0 and the
-    elementwise outer product -0.
+    With one output unit, ``d_out @ V.T`` is an elementwise outer product.
+    Where a zero of ``d_out`` meets a negative weight, the product is -0 and
+    BLAS's k = 1 matrix product +0; adding 0.0 turns the one into the other
+    and leaves every other value's bits alone. With more output units the
+    product is a sum, whose fused rounding a separate multiply and add would
+    not repeat, so it stays a matrix product.
     """
     pre, hidden, mask, d_hidden = work
     hidden, out = _forward_pass(params, x, sigmoid_output, (pre, hidden, mask))
@@ -209,12 +213,24 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     if sigmoid_output:
         d_out *= out
         d_out *= 1.0 - out
-    np.matmul(d_out, params.hidden_output_weights.T, out=d_hidden)
+    weights_out = params.hidden_output_weights
+    if weights_out.shape[1] == 1:
+        np.multiply(d_out, weights_out.T, out=d_hidden)
+        d_hidden += 0.0
+    else:
+        np.matmul(d_out, weights_out.T, out=d_hidden)
     d_hidden *= hidden
     # the pre-activation is spent: sigmoid left it holding 1 + exp(-|s|)
     d_hidden *= np.subtract(1.0, hidden, out=pre)
-    return loss, (x.T @ d_hidden, d_hidden.sum(axis=0),
-                  hidden.T @ d_out, d_out.sum(axis=0))
+    if grads is None:
+        grads = tuple(np.empty(p.shape) for p in (params.input_hidden_weights,
+                                                  params.hidden_biases, weights_out,
+                                                  params.output_biases))
+    np.matmul(x.T, d_hidden, out=grads[0])
+    np.add.reduce(d_hidden, axis=0, out=grads[1])
+    np.matmul(hidden.T, d_out, out=grads[2])
+    np.add.reduce(d_out, axis=0, out=grads[3])
+    return loss, grads
 
 
 def mse_gradient(params: MlpParams, data: LabeledDataset,
@@ -227,6 +243,16 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
     work = _backprop_work(data.n_samples, topology.hidden)
     return MlpParams(*_loss_and_gradient(params, data.features, targets,
                                          sigmoid_output, work)[1])
+
+
+def _param_views(flat: np.ndarray, topology: MlpTopology) -> tuple[np.ndarray, ...]:
+    """W, b_h, V and b_o as C-contiguous views into consecutive blocks of
+    ``flat``: the layout backprop keeps its parameters and gradient in."""
+    n, m, o = topology.inputs, topology.hidden, topology.outputs
+    i = n * m
+    j = i + m
+    k = j + m * o
+    return flat[:i].reshape(n, m), flat[i:j], flat[j:k].reshape(m, o), flat[k:]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -242,9 +268,14 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     MSE seen after each epoch. A non-finite loss aborts the run with the
     offending epoch in the message, without numpy's overflow warnings.
 
-    The run updates one set of parameter arrays in place and copies them
-    into the returned best arrays only when the loss strictly improves; the
-    hidden layer is computed in work arrays allocated once per run.
+    The run keeps its parameters, their gradient and the best parameters in
+    three flat vectors allocated once, each seen as four arrays through
+    :func:`_param_views`. An epoch's update is two calls over the whole
+    vector (``grad *= lr; theta -= grad``, the bits of ``w - lr * g``), and
+    the parameters are copied into the best vector only when the loss
+    strictly improves. The returned params own copies of the best vector's
+    views; the hidden layer is computed in work arrays allocated once per
+    run.
     """
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be non-negative")
@@ -252,30 +283,32 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
         raise ValueError("epochs must be non-negative")
     _check_dataset(topology, train_data)
     gen = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
-    n, m, o = topology.inputs, topology.hidden, topology.outputs
-    weights = (gen.uniform(-0.5, 0.5, (n, m)), gen.uniform(-0.5, 0.5, m),
-               gen.uniform(-0.5, 0.5, (m, o)), gen.uniform(-0.5, 0.5, o))
-    params = MlpParams(*weights)
+    theta = np.empty(vector_dimension(topology))
+    grad = np.empty_like(theta)
+    views = _param_views(theta, topology)
+    for view in views:
+        view[...] = gen.uniform(-0.5, 0.5, view.shape)
+    params = MlpParams(*views)
+    grads = _param_views(grad, topology)
+    best = theta.copy()
     x = train_data.features
-    targets = _target_matrix(train_data.labels, o)
-    work = _backprop_work(train_data.n_samples, m)
-    best = tuple(w.copy() for w in weights)
-    best_loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output, work)
+    targets = _target_matrix(train_data.labels, topology.outputs)
+    work = _backprop_work(train_data.n_samples, topology.hidden)
+    best_loss = _loss_and_gradient(params, x, targets, sigmoid_output, work, grads)[0]
     values: list[float] = []
     for epoch in range(1, epochs + 1):
-        for w, g in zip(weights, grads):
-            g *= learning_rate  # w - g * lr has the bits of w - lr * g
-            w -= g
+        grad *= learning_rate  # theta - grad * lr has the bits of theta - lr * grad
+        theta -= grad
         # the gradient for the next epoch comes from the pass that scores these params
-        loss, grads = _loss_and_gradient(params, x, targets, sigmoid_output, work)
+        loss = _loss_and_gradient(params, x, targets, sigmoid_output, work, grads)[0]
         if not math.isfinite(loss):
             raise EvaluationError(f"training diverged at epoch {epoch}")
         if loss < best_loss:
             best_loss = loss
-            for kept, w in zip(best, weights):
-                np.copyto(kept, w)
+            np.copyto(best, theta)
         values.append(best_loss)
-    return TrainedModel(params=MlpParams(*best), train_mse=best_loss,
+    kept = MlpParams(*(view.copy() for view in _param_views(best, topology)))
+    return TrainedModel(params=kept, train_mse=best_loss,
                         curve=ConvergenceCurve(tuple(values)))
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fdo_mlp.cli import build_parser, main
-from fdo_mlp.data import load_csv, min_max_normalize, select_features, xor_csv_path
+from fdo_mlp.data import (LabeledDataset, load_csv, min_max_normalize, select_features,
+                          xor_csv_path)
 from fdo_mlp.evaluation import score
 from fdo_mlp.mlp import MlpTopology, params_from_text, params_to_text
 from fdo_mlp.training import TrainingConfig, train_fdo_mlp
@@ -492,14 +493,35 @@ class TestEvaluateReplaysTraining:
         ("x2,x1", "x1", "line 3: 1 columns for a model of 2 inputs"),
         ("mins =", "mins", "line 4: expected 'key = value'"),
         (MODEL[MODEL.index("keep-columns"):], "", "no 'keep-columns' key after line 2"),
+        ("mins = 0.0 0.0", "mins = 5.0 5.0",
+         "line 5: maxs 1.0 of column 'x2' is below its mins 5.0"),
+        ("mins = 0.0 0.0\nmaxs = 1.0 1.0", "mins = 0.0 -1e+308\nmaxs = 1.0 1e+308",
+         "line 5: maxs 1e+308 of column 'x1' minus its mins -1e+308 overflows"),
+        ("maxs = 1.0 1.0", "maxs = 1e-320 1e-320",
+         "line 5: maxs 1e-320 of column 'x2' is too close to its mins 0.0 to scale by"),
     ], ids=["unknown-key", "repeated-key", "missing-key", "short-mins", "long-maxs",
             "infinite-max", "nan-threshold", "unknown-activation", "sigmoid-threshold",
-            "empty-columns", "too-few-columns", "no-equals", "two-line-file"])
+            "empty-columns", "too-few-columns", "no-equals", "two-line-file",
+            "reversed-range", "overflowing-range", "subnormal-range"])
     def test_model_file_error_names_file_and_line(self, tmp_path, capsys, old, new, message):
         model = tmp_path / "model.txt"
         model.write_text(self.MODEL.replace(old, new))
         assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 1
         assert f"{model}: {message}" in capsys.readouterr().err
+
+    def test_equal_mins_and_maxs_scale_the_column_to_zero(self, tmp_path, capsys):
+        """A constant training column writes maxs == mins; evaluate accepts
+        it and scores that column as 0."""
+        model = tmp_path / "model.txt"
+        model.write_text(self.MODEL.replace("0.5 0.5 0.5 0.5 0.5", "4.0 -4.0 -2.0 4.0 -2.0")
+                         .replace("mins = 0.0 0.0", "mins = 0.0 1.0"))
+        assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 0
+        out = capsys.readouterr().out
+        scaled = LabeledDataset(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]),
+                                np.array([0, 1, 1, 0]), ("x2", "x1"))
+        _, _, cm, _ = score(read_params(model), scaled, 0.5, True)
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 1)
+        assert f"tp={cm.tp}  fp={cm.fp}\n  fn={cm.fn}  tn={cm.tn}" in out
 
     def test_linear_output_keeps_any_threshold(self, tmp_path, capsys):
         model = tmp_path / "model.txt"

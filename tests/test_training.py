@@ -302,6 +302,40 @@ def allocating_loss_and_gradient(params, x, targets, sigmoid_output):
                   d_out.sum(axis=0)), d_hidden
 
 
+def allocating_train_bp(data, init, learning_rate, epochs, sigmoid_output):
+    """Reference: the backprop trainer before it kept its parameters in one
+    flat vector, updating each of the four arrays from fresh gradient arrays
+    and keeping the best arrays themselves. Returns its best params, their
+    MSE and the curve's values."""
+    weights = tuple(np.array(w, dtype=float) for w in init)
+    targets = _target_matrix(data.labels, weights[3].shape[0])
+    best = weights
+    best_loss, grads, _ = allocating_loss_and_gradient(MlpParams(*weights), data.features,
+                                                       targets, sigmoid_output)
+    values = []
+    for _ in range(epochs):
+        weights = tuple(w - learning_rate * g for w, g in zip(weights, grads))
+        loss, grads, _ = allocating_loss_and_gradient(MlpParams(*weights), data.features,
+                                                      targets, sigmoid_output)
+        if loss < best_loss:
+            best, best_loss = weights, loss
+        values.append(best_loss)
+    return MlpParams(*best), best_loss, values
+
+
+class ReplayGenerator:
+    """Stands in for the generator train_bp_mlp draws its initial weights
+    from, handing out the given arrays in the order it asks for them."""
+
+    def __init__(self, arrays):
+        self.arrays = list(arrays)
+
+    def uniform(self, low, high, size):
+        array = self.arrays.pop(0)
+        assert array.shape == np.empty(size).shape
+        return array.copy()
+
+
 def stale_work(rows, hidden):
     """Work arrays holding values a pass must never read."""
     work = _backprop_work(rows, hidden)
@@ -506,6 +540,55 @@ class TestTrainBpMlp:
                                  np.random.default_rng(seed))
             wins += classification_rate(model.params, XOR) == 1.0
         assert wins > 5
+
+
+class TestTrainBpMlpMatchesAllocatingReference:
+    """train_bp_mlp, which updates one flat parameter vector and computes its
+    gradient in place, gives the allocating per-array trainer's params,
+    train_mse and curve bit for bit."""
+
+    def assert_same_run(self, data, topology, init, learning_rate, epochs, flag):
+        model = train_bp_mlp(data, topology, learning_rate, epochs,
+                             ReplayGenerator(init), sigmoid_output=flag)
+        params, loss, values = allocating_train_bp(data, init, learning_rate, epochs, flag)
+        assert encode(model.params).tobytes() == encode(params).tobytes()
+        assert repr(model.train_mse) == repr(loss)
+        assert np.array(model.curve.values).tobytes() == np.array(values).tobytes()
+        return model
+
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_random_starts(self, outputs, flag):
+        rng = np.random.default_rng(31 + outputs)
+        data = min_max_normalize(generate_synthetic(40, 3, 3.0, 0.5, rng))
+        topology = MlpTopology(3, 6, outputs)
+        init = (rng.uniform(-0.5, 0.5, (3, 6)), rng.uniform(-0.5, 0.5, 6),
+                rng.uniform(-0.5, 0.5, (6, outputs)), rng.uniform(-0.5, 0.5, outputs))
+        model = self.assert_same_run(data, topology, init, 0.7, 250, flag)
+        assert model.curve.values[-1] < model.curve.values[0]
+
+    @pytest.mark.parametrize("labels, flag, output_bias", [
+        ([0, 1, 0, 1, 1], False, 0.625),  # label-0 rows start with d_out +0
+        ([0, 1, 0, 1, 1], True, 100.0),   # output 1.0: every d_out starts +0
+    ])
+    def test_zero_d_out_against_negative_weights(self, labels, flag, output_bias):
+        x = np.random.default_rng(24).uniform(0, 1, (5, 2))
+        data = LabeledDataset(x, np.array(labels), ("a", "b"))
+        start = constant_hidden_params(2, output_bias)
+        init = (start.input_hidden_weights, start.hidden_biases,
+                start.hidden_output_weights, start.output_biases)
+        self.assert_same_run(data, MlpTopology(2, 3, 1), init, 0.5, 200, flag)
+
+    def test_mse_gradient_returns_owned_arrays(self):
+        rng = np.random.default_rng(26)
+        params = random_params(rng, MlpTopology(3, 4, 2))
+        data = random_dataset(rng, 7, 3)
+        first, second = mse_gradient(params, data), mse_gradient(params, data)
+        arrays = [getattr(grad, name) for grad in (first, second)
+                  for name in ("input_hidden_weights", "hidden_biases",
+                               "hidden_output_weights", "output_biases")]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 def nan_feature_dataset():
