@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import benchmark_names, get_benchmark
-from .data import (LabeledDataset, NormalizationState, generate_synthetic, load_csv,
-                   min_max_normalize, normalize_with, parse_key_values, read_text,
-                   save_csv, select_features, write_text_atomic)
+from .data import (LabeledDataset, NormalizationState, ScaleOverflowError, csv_data_line,
+                   generate_synthetic, load_csv, min_max_normalize, normalize_with,
+                   parse_key_values, read_text, save_csv, select_features,
+                   write_text_atomic)
 from .evaluation import (METRIC_NAMES, ConfusionMatrix, CrossValReport, Trainer,
                          bp_trainer, cross_validate, format_metric, metrics, score)
 from .fdo import DEFAULT_SEED, EvaluationError, FdoConfig, optimize, uniform_bounds
@@ -281,6 +283,24 @@ def _trainer(args: argparse.Namespace) -> Trainer | None:
     return bp_trainer(args.learning_rate, args.epochs) if args.trainer == "bp" else None
 
 
+def _fold_workers(trainer: str, k: int) -> int:
+    """Threads for crossval's folds: up to one per usable CPU for FDO.
+
+    Backprop folds train in the calling thread. Each of an epoch's numpy
+    calls takes ~10 us on the 230 x 37 hidden layer, too short to release
+    the GIL with profit: on 2 threads the crossval-bp benchmark's wall time
+    rose from 157-162 to 182-185 reference units. An FDO objective call
+    runs a (7, 230, 37) stack, long enough for two folds to overlap.
+    """
+    if trainer == "bp":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(k, cpus))
+
+
 def _metric_values(report) -> str:
     return ",".join(_fmt(getattr(report, name)) for name in METRIC_NAMES)
 
@@ -345,8 +365,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, names, state, sigmoid_output, threshold = _read_model(args.model)
-    data = normalize_with(select_features(load_csv(args.data, args.label_column), names),
-                          state)
+    raw = select_features(load_csv(args.data, args.label_column), names)
+    try:
+        data = normalize_with(raw, state)
+    except ScaleOverflowError as err:
+        col = names.index(err.column)
+        raise CliError(
+            f"{args.data}: line {csv_data_line(args.data, err.row)}, column {err.column!r}: "
+            f"{err.value!r} leaves the model's range: scaling it by mins "
+            f"{state.mins[col].item()!r} and maxs {state.maxs[col].item()!r} overflows"
+        ) from None
     _, _, cm, report = score(params, data, threshold, sigmoid_output)
     print("confusion matrix (class 1 positive):")
     print(f"  tp={cm.tp}  fp={cm.fp}")
@@ -389,7 +417,8 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         raise CliError("crossval needs k >= 2")
     data = _load_dataset(args)
     config = _training_config(args, data.n_features)
-    report = cross_validate(data, args.k, config, train=_trainer(args))
+    report = cross_validate(data, args.k, config, train=_trainer(args),
+                            workers=_fold_workers(args.trainer, args.k))
 
     out_dir = Path(args.out_dir)
     for name, text in _crossval_csvs(report).items():

@@ -27,6 +27,16 @@ class NormalizationState:
     maxs: np.ndarray
 
 
+class ScaleOverflowError(ValueError):
+    """A feature value that a replayed min-max transform scales past the
+    float range, with its 0-based data row, its column and the value."""
+
+    def __init__(self, row: int, column: str, value: float):
+        super().__init__(f"row {row}, column {column!r}: value {value!r} "
+                         "scales past the float range")
+        self.row, self.column, self.value = row, column, value
+
+
 @dataclass(eq=False)
 class LabeledDataset:
     features: np.ndarray
@@ -144,6 +154,19 @@ def _csv_rows(path: Path, handle):
         raise ValueError(f"{path}: not UTF-8 text: {err}") from None
 
 
+def csv_data_line(path, row: int) -> int:
+    """The file line on which the 0-based data row ``row`` of a CSV file
+    starts, counted as :func:`load_csv` counts lines."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = _csv_rows(path, handle)
+        next(rows, None)
+        for index, (line_no, _) in enumerate(rows):
+            if index == row:
+                return line_no
+    raise ValueError(f"{path}: no data row {row}")
+
+
 def read_text(path) -> str:
     """The text of a UTF-8 file; a file that is not UTF-8 fails naming it."""
     try:
@@ -209,12 +232,18 @@ def normalize_with(data: LabeledDataset, state: NormalizationState) -> LabeledDa
     """Replay a previously fitted min-max transform onto another dataset.
 
     Values outside the fitted range land outside [0, 1]; they are not
-    clipped.
+    clipped. One so far outside a narrow range that it scales past the
+    float range raises :class:`ScaleOverflowError`, without a numpy warning.
     """
     if state.mins.shape != (data.n_features,):
         raise ValueError("normalization state does not match feature width")
-    return LabeledDataset(_apply_state(data.features, state), data.labels.copy(),
-                          data.column_names, state)
+    with np.errstate(over="ignore"):
+        features = _apply_state(data.features, state)
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        row, col = bad[0].tolist()
+        raise ScaleOverflowError(row, data.column_names[col], data.features[row, col].item())
+    return LabeledDataset(features, data.labels.copy(), data.column_names, state)
 
 
 def _apply_state(features: np.ndarray, state: NormalizationState) -> np.ndarray:

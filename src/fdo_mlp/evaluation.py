@@ -10,6 +10,7 @@ reporting convention used elsewhere in this package's tables.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
@@ -247,30 +248,40 @@ def bp_trainer(learning_rate: float, epochs: int) -> Trainer:
 
 
 def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
-                   train: Trainer | None = None) -> CrossValReport:
+                   train: Trainer | None = None, workers: int = 1) -> CrossValReport:
     """Rotate through k folds, training on k-1 and testing on the held-out one.
 
     One generator seeded from ``config.fdo.seed`` shuffles fold membership
     and then spawns one stream per fold, from which that fold trains, so
     folds are independent. Normalization is fitted on each fold's training
-    rows and replayed onto its test rows. A training split containing a
-    single class aborts with the fold named.
+    rows and replayed onto its test rows. Every split is built before any
+    fold trains, so a training split containing a single class aborts at
+    once, with the fold named.
+
+    The folds train on ``workers`` threads, or in the calling thread when
+    it is 1, and are scored in fold order. A fold's model depends only on
+    its own stream, so the report is the same bit for bit for any
+    ``workers``. With more than one, ``train`` must be safe to run in
+    several threads at once; :func:`train_fdo_mlp` is.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     train = train or train_fdo_mlp
     rng = np.random.default_rng(config.fdo.seed)
     assignment = kfold_splits(data.n_samples, k, rng)
     fold_rngs = rng.spawn(k)
-    reports: list[FoldReport] = []
+    splits: list[tuple[LabeledDataset, LabeledDataset]] = []
     for fold in range(k):
-        test_idx = assignment.fold_indices(fold)
-        train_idx = np.flatnonzero(assignment.membership != fold)
-        train_raw = data.subset(train_idx)
-        test_raw = data.subset(test_idx)
+        train_raw = data.subset(np.flatnonzero(assignment.membership != fold))
         if len(set(train_raw.labels.tolist())) < 2:
             raise ValueError(f"fold {fold + 1}: training split contains a single class")
         train_data = min_max_normalize(train_raw)
-        test_data = normalize_with(test_raw, train_data.normalization)
-        model = train(train_data, config, fold_rngs[fold])
+        splits.append((train_data, normalize_with(data.subset(assignment.fold_indices(fold)),
+                                                  train_data.normalization)))
+    models = _train_folds(train, [train_data for train_data, _ in splits], config,
+                          fold_rngs, workers)
+    reports: list[FoldReport] = []
+    for fold, ((train_data, test_data), model) in enumerate(zip(splits, models)):
         train_rate = classification_rate(model.params, train_data,
                                          config.threshold, config.sigmoid_output)
         test_mse, test_rate, cm, report = score(model.params, test_data,
@@ -282,3 +293,49 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
             confusion=cm, metrics=report,
         ))
     return CrossValReport(folds=tuple(reports))
+
+
+def _train_folds(train: Trainer, datasets: list[LabeledDataset], config: TrainingConfig,
+                 rngs: list[np.random.Generator], workers: int) -> list[TrainedModel]:
+    """Each fold's model. Thread i of ``workers`` trains folds i, i + workers,
+    ... and stops at its first failure, so a fold it skips is numbered above
+    that failure, and the lowest-numbered failure, raised once every thread
+    has ended, is the one a sequential run meets first."""
+    if workers == 1:
+        return [train(fold_data, config, fold_rng)
+                for fold_data, fold_rng in zip(datasets, rngs)]
+    # A cached_property, which Python 3.12 no longer locks: fill it before
+    # the threads share the config.
+    config.fdo._limits
+    k = len(datasets)
+    outcomes: list[TrainedModel | BaseException | None] = [None] * k
+    interrupted = threading.Event()
+
+    def run(first: int) -> None:
+        for fold in range(first, k, workers):
+            if interrupted.is_set():
+                return
+            try:
+                outcomes[fold] = train(datasets[fold], config, rngs[fold])
+            except BaseException as err:
+                outcomes[fold] = err
+                return
+
+    threads = [threading.Thread(target=run, args=(first,), name=f"fold-worker-{first}")
+               for first in range(min(workers, k))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        # Reached early only by an interrupt: the running folds finish, no
+        # new one starts, and no thread outlives the call.
+        interrupted.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes

@@ -1,13 +1,16 @@
 """Command-line behaviour: files, formats, determinism, configuration."""
 
 import csv
+import os
 import shlex
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdo_mlp.cli import build_parser, main
+from fdo_mlp import cli
+from fdo_mlp.cli import _fold_workers, build_parser, main
 from fdo_mlp.data import (LabeledDataset, load_csv, min_max_normalize, select_features,
                           xor_csv_path)
 from fdo_mlp.evaluation import score
@@ -528,6 +531,21 @@ class TestEvaluateReplaysTraining:
         model.write_text(self.MODEL.replace("sigmoid", "linear").replace("= 0.5", "= 7"))
         assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 0
         assert "tp=0  fp=0" in capsys.readouterr().out
+
+    def test_value_scaled_past_the_float_range_names_csv_line_and_column(
+            self, tmp_path, capsys):
+        """A valid but narrow recorded range that a CSV value overflows fails
+        at the CSV's file line, counted past a quoted field that spans two
+        lines, and no numpy warning comes before the error line."""
+        model = tmp_path / "model.txt"
+        model.write_text(self.MODEL.replace("maxs = 1.0 1.0", "maxs = 1e-300 1.0"))
+        data = tmp_path / "far.csv"
+        data.write_text('x1,x2,label\n"0.5\n",0.5,0\n0.5,1e10,1\n')
+        assert run("evaluate", "--model", model, "--data", data) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 4, column 'x2': 10000000000.0 leaves the model's "
+            "range: scaling it by mins 0.0 and maxs 1e-300 overflows\n")
+
     def test_column_the_csv_lacks_is_named(self, tmp_path, capsys):
         model = tmp_path / "model.txt"
         model.write_text(self.MODEL.replace("x2,x1", "x2,x3"))
@@ -570,9 +588,57 @@ class TestCrossval:
         for name in ("folds.csv", "class_success.csv", "fold_metrics.csv"):
             assert (out / name).is_file()
 
+    def test_fdo_folds_get_the_worker_count_and_bp_folds_one(
+            self, synth_csv, tmp_path, capsys, monkeypatch):
+        seen = []
+        real = cli.cross_validate
+        monkeypatch.setattr(cli, "cross_validate",
+                            lambda *args, workers, **kwargs:
+                            seen.append(workers) or real(*args, workers=workers, **kwargs))
+        for trainer in ("fdo", "bp"):
+            assert run("crossval", "--data", synth_csv, "--k", 3, "--trainer", trainer,
+                       "--population", 4, "--iterations", 2, "--epochs", 2,
+                       "--out-dir", tmp_path / trainer) == 0
+        assert seen == [_fold_workers("fdo", 3), 1]
+
     def test_bad_k(self, synth_csv, tmp_path, capsys):
         assert run("crossval", "--data", synth_csv, "--k", 1,
                    "--out-dir", tmp_path) == 1
+
+
+class TestFoldWorkers:
+    """The thread count is computed with the CPU queries patched; no test
+    starts a pool of that size."""
+
+    @pytest.fixture()
+    def cpus(self, monkeypatch):
+        def set_cpus(affinity, count):
+            if affinity is None:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                    raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+        return set_cpus
+
+    @pytest.mark.parametrize("affinity, count, k, expected", [
+        (4096, 4096, 5, 5), (3, 4096, 5, 3), (1, 4096, 5, 1), (4096, 1, 10, 10),
+        (None, 4096, 7, 7), (None, 2, 7, 2), (None, None, 7, 1)])
+    def test_fdo_takes_one_thread_per_fold_up_to_the_usable_cpus(
+            self, cpus, affinity, count, k, expected):
+        cpus(affinity, count)
+        before = threading.active_count()
+        assert _fold_workers("fdo", k) == expected
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("affinity, count", [(4096, 4096), (None, 4096), (None, None)])
+    def test_bp_stays_in_the_calling_thread(self, cpus, affinity, count):
+        cpus(affinity, count)
+        assert _fold_workers("bp", 5) == 1
+
+    def test_never_below_one(self, cpus):
+        cpus(0, 0)
+        assert _fold_workers("fdo", 5) == 1
 
 
 class TestBenchmark:

@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from fdo_mlp.data import (LabeledDataset, generate_synthetic, load_csv,
+from fdo_mlp.data import (LabeledDataset, NormalizationState, ScaleOverflowError,
+                          csv_data_line, generate_synthetic, load_csv,
                           min_max_normalize, normalize_with, save_csv,
                           select_features, write_text_atomic, xor_csv_path)
 
@@ -158,6 +159,26 @@ class TestNormalize:
         fitted = min_max_normalize(train)
         replayed = normalize_with(test, fitted.normalization)
         np.testing.assert_allclose(replayed.features[:, 0], [0.5, 2.0])
+
+    def test_replay_past_the_float_range_names_row_and_column(self):
+        state = NormalizationState(np.array([0.0, 0.0]), np.array([1.0, 1e-300]))
+        far = LabeledDataset(np.array([[0.5, 0.5], [0.5, 1e10]]), np.array([0, 1]),
+                             ("a", "b"))
+        with pytest.raises(ScaleOverflowError,
+                           match="^row 1, column 'b': value 10000000000.0 scales past") as err:
+            normalize_with(far, state)
+        assert (err.value.row, err.value.column, err.value.value) == (1, "b", 1e10)
+
+
+class TestCsvDataLine:
+    def test_counts_file_lines_as_load_csv_does(self, tmp_path):
+        path = write(tmp_path, 'a,label\n"1\n\n",0\n2,1\n3,0\n')
+        assert [csv_data_line(path, row) for row in range(3)] == [2, 5, 6]
+
+    def test_missing_row(self, tmp_path):
+        path = write(tmp_path, "a,label\n1,0\n")
+        with pytest.raises(ValueError, match="no data row 1"):
+            csv_data_line(path, 1)
 
 
 class TestSelectFeatures:

@@ -1,5 +1,8 @@
 """Confusion matrices, the five ratio metrics, AUC, folds, cross-validation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,9 @@ from fdo_mlp.data import LabeledDataset, generate_synthetic
 from fdo_mlp.evaluation import (ConfusionMatrix, CrossValReport, FoldReport, auc,
                                 bp_trainer, confusion_matrix, cross_validate,
                                 format_metric, kfold_splits, metrics, truncate_metric)
-from fdo_mlp.mlp import MlpTopology
-from fdo_mlp.training import TrainingConfig
+from fdo_mlp.fdo import ConvergenceCurve
+from fdo_mlp.mlp import MlpTopology, decode
+from fdo_mlp.training import TrainedModel, TrainingConfig
 
 
 def labels_for(cm):
@@ -249,6 +253,108 @@ class TestCrossValidate:
         b = cross_validate(data, 3, tiny_config(2, seed=9))
         assert [f.test_mse for f in a.folds] == [f.test_mse for f in b.folds]
         assert [f.train_mse for f in a.folds] == [f.train_mse for f in b.folds]
+
+
+def fold_of(rng):
+    """The 1-based fold whose stream ``rng`` is: cross_validate spawns fold
+    i's generator as child i of its seed."""
+    return rng.bit_generator.seed_seq.spawn_key[-1] + 1
+
+
+class FakeTrainer:
+    """Returns one fixed network at once, recording each fold it trains and
+    the thread it ran on, and raising on the folds in ``failing``."""
+
+    def __init__(self, config, failing=()):
+        self.params = decode(np.linspace(-1.0, 1.0, config.fdo.dimension), config.topology)
+        self.failing = failing
+        self.calls = []
+
+    def __call__(self, train_data, cfg, rng):
+        fold = fold_of(rng)
+        self.calls.append((fold, threading.current_thread()))
+        if fold in self.failing:
+            raise RuntimeError(f"fold {fold} failed")
+        return TrainedModel(self.params, 0.25, ConvergenceCurve((0.25,)))
+
+
+class TestCrossValidateThreads:
+    """Folds trained on threads give the report of the calling thread."""
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_two_workers_give_the_sequential_reports_bit_for_bit(self, k):
+        """With a short switch interval the fold threads interleave often;
+        state shared between folds would show as a changed bit."""
+        data = generate_synthetic(60, 3, 3.0, 0.5, np.random.default_rng(4))
+        config = tiny_config(3, seed=13, population=10, iterations=25)
+        one = cross_validate(data, k, config, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            two = cross_validate(data, k, config, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(two.folds) == k
+        assert repr(two.folds) == repr(one.folds)  # repr spells out every float
+
+    def test_folds_train_off_the_calling_thread(self):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        train = FakeTrainer(config)
+        cross_validate(data, 5, config, train=train, workers=2)
+        assert sorted(fold for fold, _ in train.calls) == [1, 2, 3, 4, 5]
+        assert threading.main_thread() not in {thread for _, thread in train.calls}
+
+    def test_one_worker_trains_in_the_calling_thread(self):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        train = FakeTrainer(config)
+        cross_validate(data, 3, config, train=train)
+        assert train.calls == [(fold, threading.current_thread()) for fold in (1, 2, 3)]
+
+    def test_lowest_failing_fold_is_raised(self):
+        """Folds 3 and 4 fail on different threads; fold 3's error is the
+        one a sequential run raises, and fold 5, after fold 3 on the same
+        thread, never trains."""
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        train = FakeTrainer(config, failing=(3, 4))
+        with pytest.raises(RuntimeError, match="^fold 3 failed$"):
+            cross_validate(data, 5, config, train=train, workers=2)
+        assert sorted(fold for fold, _ in train.calls) == [1, 2, 3, 4]
+
+    def test_no_thread_outlives_the_call(self):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        before = threading.active_count()
+        cross_validate(data, 3, config, workers=2)
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError):
+            cross_validate(data, 3, config, train=FakeTrainer(config, failing=(1, 2)),
+                           workers=2)
+        assert threading.active_count() == before
+
+    def test_single_class_fold_fails_before_any_training(self):
+        """Fold 3 holds the only positive row, so its training split is all
+        negative: the error names fold 3 and no fold has trained."""
+        n, k, seed = 20, 4, 6
+        membership = kfold_splits(n, k, np.random.default_rng(seed)).membership
+        labels = np.zeros(n, dtype=int)
+        labels[np.flatnonzero(membership == 2)[0]] = 1
+        data = LabeledDataset(np.random.default_rng(0).uniform(0, 1, (n, 2)), labels,
+                              ("a", "b"))
+        config = tiny_config(2, seed=seed)
+        for workers in (1, 2):
+            train = FakeTrainer(config)
+            with pytest.raises(ValueError,
+                               match="^fold 3: training split contains a single class$"):
+                cross_validate(data, k, config, train=train, workers=workers)
+            assert train.calls == []
+
+    def test_workers_below_one_rejected(self):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            cross_validate(data, 3, tiny_config(2), workers=0)
 
 
 def class_success_rows(cms):
