@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -283,24 +282,6 @@ def _trainer(args: argparse.Namespace) -> Trainer | None:
     return bp_trainer(args.learning_rate, args.epochs) if args.trainer == "bp" else None
 
 
-def _fold_workers(trainer: str, k: int) -> int:
-    """Threads for crossval's folds: up to one per usable CPU for FDO.
-
-    Backprop folds train in the calling thread. Each of an epoch's numpy
-    calls takes ~10 us on the 230 x 37 hidden layer, too short to release
-    the GIL with profit: on 2 threads the crossval-bp benchmark's wall time
-    rose from 157-162 to 182-185 reference units. An FDO objective call
-    runs a (7, 230, 37) stack, long enough for two folds to overlap.
-    """
-    if trainer == "bp":
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(k, cpus))
-
-
 def _metric_values(report) -> str:
     return ",".join(_fmt(getattr(report, name)) for name in METRIC_NAMES)
 
@@ -417,8 +398,7 @@ def cmd_crossval(args: argparse.Namespace) -> int:
         raise CliError("crossval needs k >= 2")
     data = _load_dataset(args)
     config = _training_config(args, data.n_features)
-    report = cross_validate(data, args.k, config, train=_trainer(args),
-                            workers=_fold_workers(args.trainer, args.k))
+    report = cross_validate(data, args.k, config, train=_trainer(args))
 
     out_dir = Path(args.out_dir)
     for name, text in _crossval_csvs(report).items():

@@ -10,6 +10,7 @@ reporting convention used elsewhere in this package's tables.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -248,7 +249,7 @@ def bp_trainer(learning_rate: float, epochs: int) -> Trainer:
 
 
 def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
-                   train: Trainer | None = None, workers: int = 1) -> CrossValReport:
+                   train: Trainer | None = None) -> CrossValReport:
     """Rotate through k folds, training on k-1 and testing on the held-out one.
 
     One generator seeded from ``config.fdo.seed`` shuffles fold membership
@@ -258,14 +259,13 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     fold trains, so a training split containing a single class aborts at
     once, with the fold named.
 
-    The folds train on ``workers`` threads, or in the calling thread when
-    it is 1, and are scored in fold order. A fold's model depends only on
-    its own stream, so the report is the same bit for bit for any
-    ``workers``. With more than one, ``train`` must be safe to run in
-    several threads at once; :func:`train_fdo_mlp` is.
+    FDO folds (``train`` left at None) train on up to two threads, one per
+    usable CPU, the calling thread among them; a caller's ``train`` runs in
+    the calling thread alone. The folds are scored in fold order, and a
+    fold's model depends only on its own stream, so the report is the same
+    bit for bit for any thread count.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    workers = _fold_threads(train)
     train = train or train_fdo_mlp
     rng = np.random.default_rng(config.fdo.seed)
     assignment = kfold_splits(data.n_samples, k, rng)
@@ -295,15 +295,42 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     return CrossValReport(folds=tuple(reports))
 
 
+# The most threads FDO folds train on. Only 2, on 2 CPUs, has been measured
+# (the crossval-fdo benchmark's wall time went to 0.75x at seed 0 and 0.86x
+# at seed 1009); each further thread would add another fold's ~2.2 MB of work
+# arrays at an unmeasured gain.
+_FOLD_THREADS = 2
+
+
+def _fold_threads(train: Trainer | None) -> int:
+    """Threads for cross_validate's folds: up to ``_FOLD_THREADS``, one per
+    usable CPU, for FDO, and the calling thread alone for a caller's
+    trainer.
+
+    An FDO objective call runs a (7, 230, 37) stack, whose numpy calls are
+    long enough to overlap across threads. Backprop, the trainer the CLI
+    passes, stays in one thread: each of an epoch's numpy calls takes
+    ~10 us on the 230 x 37 hidden layer, shorter than the GIL handoffs, and
+    on 2 threads the crossval-bp benchmark's wall time rose from 157-162 to
+    182-185 reference units. The fold count is no bound here: a run that
+    trains any fold trains at least 2.
+    """
+    if train is not None:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(_FOLD_THREADS, cpus))
+
+
 def _train_folds(train: Trainer, datasets: list[LabeledDataset], config: TrainingConfig,
                  rngs: list[np.random.Generator], workers: int) -> list[TrainedModel]:
-    """Each fold's model. Thread i of ``workers`` trains folds i, i + workers,
-    ... and stops at its first failure, so a fold it skips is numbered above
+    """Each fold's model. Share i of ``workers`` is folds i, i + workers, ...;
+    the calling thread trains share 0 and one thread each the others. A
+    share stops at its first failure, so a fold it skips is numbered above
     that failure, and the lowest-numbered failure, raised once every thread
     has ended, is the one a sequential run meets first."""
-    if workers == 1:
-        return [train(fold_data, config, fold_rng)
-                for fold_data, fold_rng in zip(datasets, rngs)]
     # A cached_property, which Python 3.12 no longer locks: fill it before
     # the threads share the config.
     config.fdo._limits
@@ -319,13 +346,16 @@ def _train_folds(train: Trainer, datasets: list[LabeledDataset], config: Trainin
                 outcomes[fold] = train(datasets[fold], config, rngs[fold])
             except BaseException as err:
                 outcomes[fold] = err
+                if not isinstance(err, Exception):  # an interrupt: start no new fold
+                    interrupted.set()
                 return
 
     threads = [threading.Thread(target=run, args=(first,), name=f"fold-worker-{first}")
-               for first in range(min(workers, k))]
+               for first in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
+        run(0)
         for thread in threads:
             thread.join()
     finally:

@@ -1,16 +1,13 @@
 """Command-line behaviour: files, formats, determinism, configuration."""
 
 import csv
-import os
 import shlex
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdo_mlp import cli
-from fdo_mlp.cli import _fold_workers, build_parser, main
+from fdo_mlp.cli import build_parser, main
 from fdo_mlp.data import (LabeledDataset, load_csv, min_max_normalize, select_features,
                           xor_csv_path)
 from fdo_mlp.evaluation import score
@@ -588,57 +585,9 @@ class TestCrossval:
         for name in ("folds.csv", "class_success.csv", "fold_metrics.csv"):
             assert (out / name).is_file()
 
-    def test_fdo_folds_get_the_worker_count_and_bp_folds_one(
-            self, synth_csv, tmp_path, capsys, monkeypatch):
-        seen = []
-        real = cli.cross_validate
-        monkeypatch.setattr(cli, "cross_validate",
-                            lambda *args, workers, **kwargs:
-                            seen.append(workers) or real(*args, workers=workers, **kwargs))
-        for trainer in ("fdo", "bp"):
-            assert run("crossval", "--data", synth_csv, "--k", 3, "--trainer", trainer,
-                       "--population", 4, "--iterations", 2, "--epochs", 2,
-                       "--out-dir", tmp_path / trainer) == 0
-        assert seen == [_fold_workers("fdo", 3), 1]
-
     def test_bad_k(self, synth_csv, tmp_path, capsys):
         assert run("crossval", "--data", synth_csv, "--k", 1,
                    "--out-dir", tmp_path) == 1
-
-
-class TestFoldWorkers:
-    """The thread count is computed with the CPU queries patched; no test
-    starts a pool of that size."""
-
-    @pytest.fixture()
-    def cpus(self, monkeypatch):
-        def set_cpus(affinity, count):
-            if affinity is None:
-                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-            else:
-                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
-                                    raising=False)
-            monkeypatch.setattr(os, "cpu_count", lambda: count)
-        return set_cpus
-
-    @pytest.mark.parametrize("affinity, count, k, expected", [
-        (4096, 4096, 5, 5), (3, 4096, 5, 3), (1, 4096, 5, 1), (4096, 1, 10, 10),
-        (None, 4096, 7, 7), (None, 2, 7, 2), (None, None, 7, 1)])
-    def test_fdo_takes_one_thread_per_fold_up_to_the_usable_cpus(
-            self, cpus, affinity, count, k, expected):
-        cpus(affinity, count)
-        before = threading.active_count()
-        assert _fold_workers("fdo", k) == expected
-        assert threading.active_count() == before
-
-    @pytest.mark.parametrize("affinity, count", [(4096, 4096), (None, 4096), (None, None)])
-    def test_bp_stays_in_the_calling_thread(self, cpus, affinity, count):
-        cpus(affinity, count)
-        assert _fold_workers("bp", 5) == 1
-
-    def test_never_below_one(self, cpus):
-        cpus(0, 0)
-        assert _fold_workers("fdo", 5) == 1
 
 
 class TestBenchmark:

@@ -1,16 +1,19 @@
 """Confusion matrices, the five ratio metrics, AUC, folds, cross-validation."""
 
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from fdo_mlp import evaluation
 from fdo_mlp.cli import _crossval_csvs
 from fdo_mlp.data import LabeledDataset, generate_synthetic
 from fdo_mlp.evaluation import (ConfusionMatrix, CrossValReport, FoldReport, auc,
                                 bp_trainer, confusion_matrix, cross_validate,
-                                format_metric, kfold_splits, metrics, truncate_metric)
+                                format_metric, kfold_splits, metrics, truncate_metric,
+                                _fold_threads)
 from fdo_mlp.fdo import ConvergenceCurve
 from fdo_mlp.mlp import MlpTopology, decode
 from fdo_mlp.training import TrainedModel, TrainingConfig
@@ -278,63 +281,121 @@ class FakeTrainer:
         return TrainedModel(self.params, 0.25, ConvergenceCurve((0.25,)))
 
 
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Sets the CPUs that ``os`` reports: ``affinity`` through
+    sched_getaffinity, which None removes, and ``count`` through cpu_count."""
+    def set_cpus(affinity, count=None):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+    return set_cpus
+
+
 class TestCrossValidateThreads:
-    """Folds trained on threads give the report of the calling thread."""
+    """FDO folds trained on two threads give the report of one thread."""
+
+    @pytest.fixture()
+    def fdo_fake(self, monkeypatch):
+        """Installs a FakeTrainer as the FDO trainer cross_validate defaults to."""
+        def install(config, failing=()):
+            train = FakeTrainer(config, failing)
+            monkeypatch.setattr(evaluation, "train_fdo_mlp", train)
+            return train
+        return install
 
     @pytest.mark.parametrize("k", [3, 5])
-    def test_two_workers_give_the_sequential_reports_bit_for_bit(self, k):
+    def test_two_threads_give_the_sequential_reports_bit_for_bit(self, k, cpus):
         """With a short switch interval the fold threads interleave often;
         state shared between folds would show as a changed bit."""
         data = generate_synthetic(60, 3, 3.0, 0.5, np.random.default_rng(4))
         config = tiny_config(3, seed=13, population=10, iterations=25)
-        one = cross_validate(data, k, config, workers=1)
+        cpus(1)
+        one = cross_validate(data, k, config)
+        cpus(2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            two = cross_validate(data, k, config, workers=2)
+            two = cross_validate(data, k, config)
         finally:
             sys.setswitchinterval(interval)
         assert len(two.folds) == k
         assert repr(two.folds) == repr(one.folds)  # repr spells out every float
 
-    def test_folds_train_off_the_calling_thread(self):
+    def test_calling_thread_trains_every_other_fold(self, cpus, fdo_fake):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
-        train = FakeTrainer(config)
-        cross_validate(data, 5, config, train=train, workers=2)
-        assert sorted(fold for fold, _ in train.calls) == [1, 2, 3, 4, 5]
-        assert threading.main_thread() not in {thread for _, thread in train.calls}
+        cpus(2)
+        train = fdo_fake(config)
+        cross_validate(data, 5, config)
+        threads = dict(train.calls)
+        assert sorted(threads) == [1, 2, 3, 4, 5]
+        assert {threads[fold] for fold in (1, 3, 5)} == {threading.current_thread()}
+        assert threads[2] is threads[4] is not threading.current_thread()
 
-    def test_one_worker_trains_in_the_calling_thread(self):
+    def test_one_cpu_trains_in_the_calling_thread(self, cpus, fdo_fake):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
+        cpus(1)
+        train = fdo_fake(config)
+        cross_validate(data, 3, config)
+        assert train.calls == [(fold, threading.current_thread()) for fold in (1, 2, 3)]
+
+    def test_a_callers_trainer_runs_in_the_calling_thread(self, cpus):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        cpus(2)
         train = FakeTrainer(config)
         cross_validate(data, 3, config, train=train)
         assert train.calls == [(fold, threading.current_thread()) for fold in (1, 2, 3)]
 
-    def test_lowest_failing_fold_is_raised(self):
+    def test_lowest_failing_fold_is_raised(self, cpus, fdo_fake):
         """Folds 3 and 4 fail on different threads; fold 3's error is the
         one a sequential run raises, and fold 5, after fold 3 on the same
         thread, never trains."""
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
-        train = FakeTrainer(config, failing=(3, 4))
+        cpus(2)
+        train = fdo_fake(config, failing=(3, 4))
         with pytest.raises(RuntimeError, match="^fold 3 failed$"):
-            cross_validate(data, 5, config, train=train, workers=2)
+            cross_validate(data, 5, config)
         assert sorted(fold for fold, _ in train.calls) == [1, 2, 3, 4]
 
-    def test_no_thread_outlives_the_call(self):
+    def test_no_thread_outlives_the_call(self, cpus, fdo_fake):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
+        cpus(2)
         before = threading.active_count()
-        cross_validate(data, 3, config, workers=2)
+        cross_validate(data, 3, config)
         assert threading.active_count() == before
+        fdo_fake(config, failing=(1, 2))
         with pytest.raises(RuntimeError):
-            cross_validate(data, 3, config, train=FakeTrainer(config, failing=(1, 2)),
-                           workers=2)
+            cross_validate(data, 3, config)
         assert threading.active_count() == before
 
-    def test_single_class_fold_fails_before_any_training(self):
+    def test_interrupt_in_the_calling_thread_is_raised_after_the_join(self, cpus,
+                                                                      monkeypatch):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        cpus(2)
+        train = FakeTrainer(config)
+
+        def interrupted_on_fold_1(train_data, cfg, rng):
+            if fold_of(rng) == 1:
+                raise KeyboardInterrupt
+            return train(train_data, cfg, rng)
+
+        monkeypatch.setattr(evaluation, "train_fdo_mlp", interrupted_on_fold_1)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            cross_validate(data, 5, config)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_single_class_fold_fails_before_any_training(self, threads, cpus, fdo_fake):
         """Fold 3 holds the only positive row, so its training split is all
         negative: the error names fold 3 and no fold has trained."""
         n, k, seed = 20, 4, 6
@@ -344,17 +405,32 @@ class TestCrossValidateThreads:
         data = LabeledDataset(np.random.default_rng(0).uniform(0, 1, (n, 2)), labels,
                               ("a", "b"))
         config = tiny_config(2, seed=seed)
-        for workers in (1, 2):
-            train = FakeTrainer(config)
-            with pytest.raises(ValueError,
-                               match="^fold 3: training split contains a single class$"):
-                cross_validate(data, k, config, train=train, workers=workers)
-            assert train.calls == []
+        cpus(threads)
+        train = fdo_fake(config)
+        with pytest.raises(ValueError,
+                           match="^fold 3: training split contains a single class$"):
+            cross_validate(data, k, config)
+        assert train.calls == []
 
-    def test_workers_below_one_rejected(self):
-        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            cross_validate(data, 3, tiny_config(2), workers=0)
+
+class TestFoldThreads:
+    """The thread count is computed with the CPU queries patched; no test
+    starts a pool of that size."""
+
+    @pytest.mark.parametrize("affinity, count, expected", [
+        (4096, 4096, 2), (3, 4096, 2), (1, 4096, 1), (4096, 1, 2),
+        (None, 4096, 2), (None, 1, 1), (None, None, 1), (0, 0, 1)])
+    def test_fdo_takes_a_thread_per_usable_cpu_up_to_two(self, cpus, affinity, count,
+                                                          expected):
+        cpus(affinity, count)
+        before = threading.active_count()
+        assert _fold_threads(None) == expected
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("affinity, count", [(4096, 4096), (None, 4096), (None, None)])
+    def test_backprop_stays_in_the_calling_thread(self, cpus, affinity, count):
+        cpus(affinity, count)
+        assert _fold_threads(bp_trainer(0.5, 10)) == 1
 
 
 def class_success_rows(cms):
