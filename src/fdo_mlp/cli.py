@@ -221,16 +221,15 @@ def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
 
 def _check_ranges(path: str, line: int, names, mins, maxs) -> None:
     """Reject min-max ranges that scaling cannot replay: reversed ones, and
-    widths that overflow or whose reciprocal does. ``maxs == mins``, which a
-    constant training column writes, scales to 0 and stays."""
+    widths that overflow. ``maxs == mins``, which a constant training column
+    writes, scales to 0 and stays; a narrow range fails only on a CSV value
+    that scaling carries past the float range."""
     for name, lo, hi in zip(names, mins, maxs):
         width = hi - lo
         if width < 0.0:
             problem = f"is below its mins {lo!r}"
         elif not math.isfinite(width):
             problem = f"minus its mins {lo!r} overflows"
-        elif width > 0.0 and not math.isfinite(1.0 / width):
-            problem = f"is too close to its mins {lo!r} to scale by"
         else:
             continue
         raise CliError(f"{path}: line {line}: maxs {hi!r} of column {name!r} {problem}")
@@ -253,9 +252,14 @@ def _read_model(path: str):
     if missing:
         raise CliError(f"{path}: no {missing[0]!r} key after line 2")
     names = _column_names(values["keep_columns"])
+    columns_line = entries["keep_columns"][0]
     if len(names) != inputs:
-        raise CliError(f"{path}: line {entries['keep_columns'][0]}: {len(names)} "
-                       f"columns for a model of {inputs} inputs")
+        raise CliError(f"{path}: line {columns_line}: {len(names)} columns for a model "
+                       f"of {inputs} inputs")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CliError(f"{path}: line {columns_line}: column {name!r} is kept "
+                           "more than once")
     sigmoid_output = values["output_activation"] == "sigmoid"
     try:
         check_threshold(values["threshold"], sigmoid_output)
@@ -313,8 +317,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     data = min_max_normalize(_load_dataset(args))
-    if any("," in name for name in data.column_names):
-        raise CliError(f"model.txt cannot record a column name with a comma: {data.column_names}")
+    for name in data.column_names:
+        # splitlines leaves exactly [name] unless name is empty or breaks a line
+        if "," in name or name.splitlines() != [name]:
+            raise CliError(f"{args.data}: column {name!r}: model.txt cannot record a column "
+                           "name with a comma or a line break, or an empty one")
     config = _training_config(args, data.n_features)
     # for FDO this is the stream optimize draws from config.seed
     train = _trainer(args) or train_fdo_mlp
@@ -346,7 +353,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, names, state, sigmoid_output, threshold = _read_model(args.model)
-    raw = select_features(load_csv(args.data, args.label_column), names)
+    raw = load_csv(args.data, args.label_column)
+    try:
+        raw = select_features(raw, names)
+    except ValueError as err:  # a column the CSV lacks: _read_model checked the rest
+        raise CliError(f"{args.data}: {err}") from None
     try:
         data = normalize_with(raw, state)
     except ScaleOverflowError as err:
@@ -394,8 +405,6 @@ def _crossval_csvs(report: CrossValReport) -> dict[str, str]:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    if args.k < 2:
-        raise CliError("crossval needs k >= 2")
     data = _load_dataset(args)
     config = _training_config(args, data.n_features)
     report = cross_validate(data, args.k, config, train=_trainer(args))

@@ -72,8 +72,7 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Row subset sharing column metadata and normalization state."""
         indices = np.asarray(indices)
-        return LabeledDataset(self.features[indices].copy(),
-                              self.labels[indices].copy(),
+        return LabeledDataset(self.features[indices], self.labels[indices],
                               self.column_names, self.normalization)
 
 
@@ -221,11 +220,9 @@ def write_text_atomic(path, text: str) -> None:
 
 def min_max_normalize(data: LabeledDataset) -> LabeledDataset:
     """Rescale every column to [0, 1], constant columns mapping to 0."""
-    mins = data.features.min(axis=0)
-    maxs = data.features.max(axis=0)
-    state = NormalizationState(mins=mins, maxs=maxs)
-    return LabeledDataset(_apply_state(data.features, state), data.labels.copy(),
-                          data.column_names, state)
+    state = NormalizationState(mins=data.features.min(axis=0),
+                               maxs=data.features.max(axis=0))
+    return normalize_with(data, state)
 
 
 def normalize_with(data: LabeledDataset, state: NormalizationState) -> LabeledDataset:
@@ -237,20 +234,15 @@ def normalize_with(data: LabeledDataset, state: NormalizationState) -> LabeledDa
     """
     if state.mins.shape != (data.n_features,):
         raise ValueError("normalization state does not match feature width")
-    with np.errstate(over="ignore"):
-        features = _apply_state(data.features, state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = state.maxs - state.mins
+        scaled = (data.features - state.mins) / np.where(span == 0.0, 1.0, span)
+    features = np.where(span == 0.0, 0.0, scaled)
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         row, col = bad[0].tolist()
         raise ScaleOverflowError(row, data.column_names[col], data.features[row, col].item())
     return LabeledDataset(features, data.labels.copy(), data.column_names, state)
-
-
-def _apply_state(features: np.ndarray, state: NormalizationState) -> np.ndarray:
-    span = state.maxs - state.mins
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = (features - state.mins) / safe
-    return np.where(span == 0.0, 0.0, scaled)
 
 
 def select_features(data: LabeledDataset, keep: Sequence[str]) -> LabeledDataset:

@@ -263,8 +263,10 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     usable CPU, the calling thread among them; a caller's ``train`` runs in
     the calling thread alone. The folds are scored in fold order, and a
     fold's model depends only on its own stream, so the report is the same
-    bit for bit for any thread count.
+    bit for bit for any thread count. ``k`` below 2 is rejected before any work.
     """
+    if k < 2:
+        raise ValueError(f"cross-validation needs k >= 2 folds, got k = {k}")
     workers = _fold_threads(train)
     train = train or train_fdo_mlp
     rng = np.random.default_rng(config.fdo.seed)
@@ -331,9 +333,6 @@ def _train_folds(train: Trainer, datasets: list[LabeledDataset], config: Trainin
     share stops at its first failure, so a fold it skips is numbered above
     that failure, and the lowest-numbered failure, raised once every thread
     has ended, is the one a sequential run meets first."""
-    # A cached_property, which Python 3.12 no longer locks: fill it before
-    # the threads share the config.
-    config.fdo._limits
     k = len(datasets)
     outcomes: list[TrainedModel | BaseException | None] = [None] * k
     interrupted = threading.Event()

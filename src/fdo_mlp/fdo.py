@@ -39,7 +39,6 @@ from a scout's record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -77,19 +76,15 @@ class Swarm:
 
     ``retry_open`` ``(P,)`` is False for a scout whose retry was evaluated
     and rejected from its current position with its current pace, so the
-    retry's value is known not to improve it; True, the default for every
-    scout, means the retry must be evaluated."""
+    retry's value is known not to improve it; True means the retry must be
+    evaluated."""
 
     positions: np.ndarray
     fitness: np.ndarray
     last_pace: np.ndarray
     best_position: np.ndarray
     best_fitness: float
-    retry_open: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.retry_open is None:
-            self.retry_open = np.ones(len(self.fitness), dtype=bool)
+    retry_open: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -132,19 +127,16 @@ class FdoConfig:
             raise ValueError("weight_factor must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        # _limits: the lower and the upper bounds as two read-only,
+        # contiguous (d,) rows, which every step clamps against
+        rows = tuple(np.array(column, dtype=float) for column in zip(*bounds))
+        for row in rows:
+            row.flags.writeable = False
+        object.__setattr__(self, "_limits", rows)
 
     @property
     def dimension(self) -> int:
         return len(self.bounds)
-
-    @cached_property
-    def _limits(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lower and the upper bounds as two read-only, contiguous
-        ``(d,)`` rows, built once."""
-        rows = tuple(np.array(column, dtype=float) for column in zip(*self.bounds))
-        for row in rows:
-            row.flags.writeable = False
-        return rows
 
 
 @dataclass(frozen=True)
@@ -263,15 +255,16 @@ def initialize_swarm(config: FdoConfig, objective: Objective,
                      rng: np.random.Generator) -> Swarm:
     """Sample the initial population uniformly inside the box.
 
-    Every scout's fitness is evaluated and its stored pace starts at zero.
-    The global best is the first scout with the lowest fitness.
+    Every scout's fitness is evaluated, its stored pace starts at zero and
+    its retry is open. The global best is the first scout with the lowest
+    fitness.
     """
     lower, upper = config._limits
     shape = (config.population, config.dimension)
     positions = rng.uniform(lower, upper, shape)
     fitness = _evaluate_rows(objective, positions)
     swarm = Swarm(positions, fitness, np.zeros(shape), positions[0].copy(),
-                  float(fitness[0]))
+                  float(fitness[0]), np.ones(config.population, dtype=bool))
     _refresh_best(swarm)
     return swarm
 

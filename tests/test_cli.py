@@ -155,6 +155,20 @@ class TestTrain:
         assert "cannot record a column name with a comma" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("header, name", [
+        ("x1,,label", ""), ('x1,"a\nb",label', "a\nb"), ('x1,"a\rb",label', "a\rb"),
+        ("x1,a\u2028b,label", "a\u2028b")],
+        ids=["empty", "newline", "carriage-return", "line-separator"])
+    def test_column_name_model_txt_cannot_record_rejected(self, tmp_path, capsys,
+                                                          header, name):
+        """A name evaluate would read back as another column list or line."""
+        data = tmp_path / "names.csv"
+        data.write_text(header + "\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n", encoding="utf-8")
+        assert run("train", "--data", data, "--out-dir", tmp_path / "never") == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {data}: column {name!r}: model.txt cannot record")
+        assert not (tmp_path / "never").exists()
+
     def test_equal_bounds_named_equal(self, tmp_path, capsys):
         assert run("train", "--data", xor_csv_path(), "--bounds", 5, 5,
                    "--out-dir", tmp_path / "run") == 1
@@ -497,12 +511,11 @@ class TestEvaluateReplaysTraining:
          "line 5: maxs 1.0 of column 'x2' is below its mins 5.0"),
         ("mins = 0.0 0.0\nmaxs = 1.0 1.0", "mins = 0.0 -1e+308\nmaxs = 1.0 1e+308",
          "line 5: maxs 1e+308 of column 'x1' minus its mins -1e+308 overflows"),
-        ("maxs = 1.0 1.0", "maxs = 1e-320 1e-320",
-         "line 5: maxs 1e-320 of column 'x2' is too close to its mins 0.0 to scale by"),
+        ("x2,x1", "x2,x2", "line 3: column 'x2' is kept more than once"),
     ], ids=["unknown-key", "repeated-key", "missing-key", "short-mins", "long-maxs",
             "infinite-max", "nan-threshold", "unknown-activation", "sigmoid-threshold",
             "empty-columns", "too-few-columns", "no-equals", "two-line-file",
-            "reversed-range", "overflowing-range", "subnormal-range"])
+            "reversed-range", "overflowing-range", "repeated-column"])
     def test_model_file_error_names_file_and_line(self, tmp_path, capsys, old, new, message):
         model = tmp_path / "model.txt"
         model.write_text(self.MODEL.replace(old, new))
@@ -547,7 +560,30 @@ class TestEvaluateReplaysTraining:
         model = tmp_path / "model.txt"
         model.write_text(self.MODEL.replace("x2,x1", "x2,x3"))
         assert run("evaluate", "--model", model, "--data", xor_csv_path()) == 1
-        assert "unknown column 'x3'" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {xor_csv_path()}: unknown column 'x3'\n"
+
+    def test_subnormal_range_replays_on_the_training_csv(self, tmp_path, capsys):
+        """A column holding only 0.0 and 5e-324 records that narrow range;
+        evaluate scores its own CSV with train's metrics, and fails only on
+        a value that the range scales past the float range."""
+        data = tmp_path / "narrow.csv"
+        data.write_text("x1,x2,label\n0.0,0.1,0\n5e-324,0.9,1\n5e-324,0.2,1\n"
+                        "0.0,0.7,0\n5e-324,0.4,1\n0.0,0.3,0\n")
+        out = tmp_path / "run"
+        assert run("train", "--data", data, "--population", 8, "--iterations", 10,
+                   "--seed", 2, "--out-dir", out) == 0
+        assert "maxs = 5e-324 " in (out / "model.txt").read_text()
+        capsys.readouterr()
+        assert run("evaluate", "--model", out / "model.txt", "--data", data) == 0
+        names, values = (out / "metrics.csv").read_text().splitlines()
+        expected = {name: f"{float(v):.6f}" for name, v in zip(names.split(","),
+                                                              values.split(",")) if v != "n/a"}
+        assert _raw_metrics(capsys.readouterr().out) == expected
+        far = tmp_path / "far.csv"
+        far.write_text("x1,x2,label\n0.0,0.5,0\n1.0,0.5,1\n")
+        assert run("evaluate", "--model", out / "model.txt", "--data", far) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {far}: line 3, column 'x1': 1.0 leaves the model's range: ")
 
 
 class TestCrossval:

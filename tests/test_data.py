@@ -113,6 +113,14 @@ class TestLabeledDataset:
         with pytest.raises(ValueError, match="row 1, column 'c'"):
             LabeledDataset(features, [0, 1, 0, 1], ("a", "b", "c"))
 
+    @pytest.mark.parametrize("indices", [[2, 0], np.array([True, False, True])])
+    def test_subset_shares_no_memory_with_its_parent(self, indices):
+        data = LabeledDataset(np.arange(6.0).reshape(3, 2), [0, 1, 0], ("a", "b"))
+        part = data.subset(indices)
+        assert not np.shares_memory(part.features, data.features)
+        assert not np.shares_memory(part.labels, data.labels)
+        np.testing.assert_array_equal(part.features, data.features[indices])
+
 
 class TestNormalize:
     def test_column_scaling(self):
@@ -159,6 +167,15 @@ class TestNormalize:
         fitted = min_max_normalize(train)
         replayed = normalize_with(test, fitted.normalization)
         np.testing.assert_allclose(replayed.features[:, 0], [0.5, 2.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_whose_span_overflows_names_row_and_column(self):
+        """Fitting goes through the replay's finite check: a column spanning
+        the whole float range cannot be scaled, and no numpy warning comes
+        first."""
+        wide = LabeledDataset(np.array([[0.5, -1e308], [0.7, 1e308]]), [0, 1], ("a", "b"))
+        with pytest.raises(ScaleOverflowError, match="^row 1, column 'b': value 1e"):
+            min_max_normalize(wide)
 
     def test_replay_past_the_float_range_names_row_and_column(self):
         state = NormalizationState(np.array([0.0, 0.0]), np.array([1.0, 1e-300]))

@@ -211,6 +211,16 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="fold"):
             cross_validate(data, 2, tiny_config(1))
 
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected_before_training(self, k):
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        train = FakeTrainer(config)
+        with pytest.raises(ValueError,
+                           match=rf"^cross-validation needs k >= 2 folds, got k = {k}$"):
+            cross_validate(data, k, config, train=train)
+        assert train.calls == []
+
     def test_averages_match_fold_means(self):
         data = generate_synthetic(30, 2, 5.0, 0.5, np.random.default_rng(2))
         report = cross_validate(data, 3, tiny_config(2, seed=7))
@@ -393,6 +403,41 @@ class TestCrossValidateThreads:
         with pytest.raises(KeyboardInterrupt):
             cross_validate(data, 5, config)
         assert threading.active_count() == before
+
+    def test_interrupt_stops_the_other_share_from_starting_a_fold(self, cpus,
+                                                                 monkeypatch):
+        """Fold 1, in the calling thread, is interrupted while fold 2 trains
+        in the other thread; fold 2 ends only once the calling thread waits
+        at its join, so the other share's next fold, fold 4, would start
+        then, were the interrupt not seen."""
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        cpus(2)
+        train = FakeTrainer(config)
+        fold_2_started, joining = threading.Event(), threading.Event()
+        real_join = threading.Thread.join
+
+        def join(thread, timeout=None):
+            joining.set()
+            return real_join(thread, timeout)
+
+        def trainer(train_data, cfg, rng):
+            fold = fold_of(rng)
+            if fold == 1:
+                assert fold_2_started.wait(10)
+                raise KeyboardInterrupt
+            if fold == 2:
+                fold_2_started.set()
+                assert joining.wait(10)
+            return train(train_data, cfg, rng)
+
+        monkeypatch.setattr(threading.Thread, "join", join)
+        monkeypatch.setattr(evaluation, "train_fdo_mlp", trainer)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            cross_validate(data, 5, config)
+        assert threading.active_count() == before
+        assert [fold for fold, _ in train.calls] == [2]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_single_class_fold_fails_before_any_training(self, threads, cpus, fdo_fake):

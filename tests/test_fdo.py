@@ -50,7 +50,7 @@ def one_scout(position, fitness, best_position, best_fitness, last_pace=None):
     position = np.array([position], dtype=float)
     pace = np.zeros_like(position) if last_pace is None else np.array([last_pace], dtype=float)
     return Swarm(position, np.array([fitness], dtype=float), pace,
-                 np.array(best_position, dtype=float), best_fitness)
+                 np.array(best_position, dtype=float), best_fitness, np.ones(1, dtype=bool))
 
 
 def masked_negate_pace(positions, best_position, fw, r):
@@ -167,6 +167,11 @@ class TestFdoConfig:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
             FdoConfig(bounds=((0.0, 1.0),), max_iterations=-1)
+
+    def test_bound_rows_are_built_by_the_constructor(self):
+        """Threads sharing a config, as crossval's folds do, never race to
+        build the rows: they exist before any access."""
+        assert "_limits" in vars(FdoConfig(bounds=((-1.0, 2.0),)))
 
     def test_bound_rows_are_cached_contiguous_and_read_only(self):
         config = FdoConfig(bounds=((-1.0, 2.0), (0.0, 0.0), (-3.5, 4.0)))
@@ -570,7 +575,7 @@ class TestStep:
     def test_zero_fitness_swarm_steps_without_warnings(self):
         config = FdoConfig(bounds=((0.0, 0.0), (-1.0, 1.0)), population=4, seed=1)
         swarm = Swarm(np.zeros((4, 2)), np.zeros(4), np.zeros((4, 2)),
-                      np.zeros(2), 0.0)
+                      np.zeros(2), 0.0, np.ones(4, dtype=bool))
         rng = np.random.default_rng(1)
         for _ in range(3):
             assert step(swarm, sphere, config, rng) == 8
@@ -578,7 +583,7 @@ class TestStep:
         # Zero and non-zero fitness side by side, with a zero global best.
         swarm = Swarm(np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, -0.5]]),
                       np.array([0.0, 1.0, 0.0, 0.25]), np.zeros((4, 2)),
-                      np.zeros(2), 0.0)
+                      np.zeros(2), 0.0, np.ones(4, dtype=bool))
         step(swarm, sphere, config, rng)
         assert swarm.best_fitness == 0.0
 
@@ -670,7 +675,8 @@ class TestObjectiveCalls:
         the middle one is NaN and the error carries its position."""
         config = FdoConfig(bounds=uniform_bounds(-10, 10, 1), population=3)
         swarm = Swarm(np.array([[2.0], [3.0], [4.0]]), np.array([4.0, 9.0, 16.0]),
-                      np.array([[0.5], [0.25], [0.125]]), np.array([1.0]), 1.0)
+                      np.array([[0.5], [0.25], [0.125]]), np.array([1.0]), 1.0,
+                      np.ones(3, dtype=bool))
         calls = []
 
         def objective(x):
