@@ -126,7 +126,7 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--keep-columns",
+    parser.add_argument("--keep-columns", type=_column_names,
                         help="comma-separated feature columns to keep (default: all)")
     parser.add_argument("--trainer", choices=("fdo", "bp"), default="fdo")
     parser.add_argument("--population", type=int, default=40,
@@ -212,11 +212,20 @@ def _column_names(text: str) -> list[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
 
-def _load_dataset(args: argparse.Namespace) -> LabeledDataset:
-    data = load_csv(args.data, args.label_column)
-    if args.keep_columns is not None:
-        data = select_features(data, _column_names(args.keep_columns))
-    return data
+def _load_dataset(path: str, label_column: str, keep: list[str] | None) -> LabeledDataset:
+    """A CSV's dataset, narrowed to the ``keep`` columns when given; a kept
+    column the CSV lacks fails naming the file."""
+    data = load_csv(path, label_column)
+    lacking = [name for name in keep or () if name not in data.column_names]
+    if lacking:
+        raise CliError(f"{path}: unknown column {lacking[0]!r}")
+    return data if keep is None else select_features(data, keep)
+
+
+def _overflow_error(path: str, err: ScaleOverflowError, problem: str) -> CliError:
+    """``err`` placed at the CSV file line of its data row."""
+    return CliError(f"{path}: line {csv_data_line(path, err.row)}, column {err.column!r}: "
+                    f"{err.value!r} {problem}")
 
 
 def _check_ranges(path: str, line: int, names, mins, maxs) -> None:
@@ -251,7 +260,7 @@ def _read_model(path: str):
     missing = [dest.replace("_", "-") for dest in actions if dest not in values]
     if missing:
         raise CliError(f"{path}: no {missing[0]!r} key after line 2")
-    names = _column_names(values["keep_columns"])
+    names = values["keep_columns"]
     columns_line = entries["keep_columns"][0]
     if len(names) != inputs:
         raise CliError(f"{path}: line {columns_line}: {len(names)} columns for a model "
@@ -316,7 +325,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    data = min_max_normalize(_load_dataset(args))
+    data = min_max_normalize(_load_dataset(args.data, args.label_column, args.keep_columns))
     for name in data.column_names:
         # splitlines leaves exactly [name] unless name is empty or breaks a line
         if "," in name or name.splitlines() != [name]:
@@ -353,18 +362,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, names, state, sigmoid_output, threshold = _read_model(args.model)
-    raw = load_csv(args.data, args.label_column)
-    try:
-        raw = select_features(raw, names)
-    except ValueError as err:  # a column the CSV lacks: _read_model checked the rest
-        raise CliError(f"{args.data}: {err}") from None
+    raw = _load_dataset(args.data, args.label_column, names)
     try:
         data = normalize_with(raw, state)
     except ScaleOverflowError as err:
         col = names.index(err.column)
-        raise CliError(
-            f"{args.data}: line {csv_data_line(args.data, err.row)}, column {err.column!r}: "
-            f"{err.value!r} leaves the model's range: scaling it by mins "
+        raise _overflow_error(
+            args.data, err, "leaves the model's range: scaling it by mins "
             f"{state.mins[col].item()!r} and maxs {state.maxs[col].item()!r} overflows"
         ) from None
     _, _, cm, report = score(params, data, threshold, sigmoid_output)
@@ -405,9 +409,13 @@ def _crossval_csvs(report: CrossValReport) -> dict[str, str]:
 
 
 def cmd_crossval(args: argparse.Namespace) -> int:
-    data = _load_dataset(args)
+    data = _load_dataset(args.data, args.label_column, args.keep_columns)
     config = _training_config(args, data.n_features)
-    report = cross_validate(data, args.k, config, train=_trainer(args))
+    try:
+        report = cross_validate(data, args.k, config, train=_trainer(args))
+    except ScaleOverflowError as err:
+        raise _overflow_error(args.data, err, "scales past the float range under its "
+                              "fold's min-max scaling") from None
 
     out_dir = Path(args.out_dir)
     for name, text in _crossval_csvs(report).items():

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from .data import LabeledDataset, min_max_normalize, normalize_with
+from .data import LabeledDataset, ScaleOverflowError, min_max_normalize, normalize_with
 from .mlp import MlpParams, forward_batch, output_labels
 from .training import TrainedModel, TrainingConfig, output_mse, train_fdo_mlp
 from .training import mse_fitness  # noqa: F401  unused, but perfbench/tracing.py patches it
@@ -255,14 +256,15 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     One generator seeded from ``config.fdo.seed`` shuffles fold membership
     and then spawns one stream per fold, from which that fold trains, so
     folds are independent. Normalization is fitted on each fold's training
-    rows and replayed onto its test rows. Every split is built before any
-    fold trains, so a training split containing a single class aborts at
-    once, with the fold named.
+    rows and replayed onto its test rows; a value that this scaling carries
+    past the float range raises :class:`ScaleOverflowError` with its row in
+    ``data``. Every split is built before any fold trains, so a training
+    split containing a single class aborts at once, with the fold named.
 
-    FDO folds (``train`` left at None) train on up to two threads, one per
-    usable CPU, the calling thread among them; a caller's ``train`` runs in
-    the calling thread alone. The folds are scored in fold order, and a
-    fold's model depends only on its own stream, so the report is the same
+    FDO folds (``train`` left at None) train on a pool of up to two threads,
+    one per usable CPU, while the calling thread waits; a caller's ``train``
+    runs in the calling thread alone. The folds are scored in fold order, and
+    a fold's model depends only on its own stream, so the report is the same
     bit for bit for any thread count. ``k`` below 2 is rejected before any work.
     """
     if k < 2:
@@ -274,12 +276,17 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     fold_rngs = rng.spawn(k)
     splits: list[tuple[LabeledDataset, LabeledDataset]] = []
     for fold in range(k):
-        train_raw = data.subset(np.flatnonzero(assignment.membership != fold))
-        if len(set(train_raw.labels.tolist())) < 2:
+        train_rows = np.flatnonzero(assignment.membership != fold)
+        if len(set(data.labels[train_rows].tolist())) < 2:
             raise ValueError(f"fold {fold + 1}: training split contains a single class")
-        train_data = min_max_normalize(train_raw)
-        splits.append((train_data, normalize_with(data.subset(assignment.fold_indices(fold)),
-                                                  train_data.normalization)))
+        rows = train_rows  # the rows being scaled, to name an overflow's row in data
+        try:
+            train_data = min_max_normalize(data.subset(rows))
+            rows = assignment.fold_indices(fold)
+            splits.append((train_data, normalize_with(data.subset(rows),
+                                                      train_data.normalization)))
+        except ScaleOverflowError as err:
+            raise ScaleOverflowError(rows[err.row].item(), err.column, err.value) from None
     models = _train_folds(train, [train_data for train_data, _ in splits], config,
                           fold_rngs, workers)
     reports: list[FoldReport] = []
@@ -328,43 +335,27 @@ def _fold_threads(train: Trainer | None) -> int:
 
 def _train_folds(train: Trainer, datasets: list[LabeledDataset], config: TrainingConfig,
                  rngs: list[np.random.Generator], workers: int) -> list[TrainedModel]:
-    """Each fold's model. Share i of ``workers`` is folds i, i + workers, ...;
-    the calling thread trains share 0 and one thread each the others. A
-    share stops at its first failure, so a fold it skips is numbered above
-    that failure, and the lowest-numbered failure, raised once every thread
-    has ended, is the one a sequential run meets first."""
-    k = len(datasets)
-    outcomes: list[TrainedModel | BaseException | None] = [None] * k
-    interrupted = threading.Event()
+    """Each fold's model, trained in the calling thread for one worker, else
+    on a pool of ``workers`` threads while the calling thread waits on the
+    folds in order. The pool starts folds in order and skips those started
+    after a failure, so the first failure read is the one a sequential run
+    meets first. An interrupted wait starts no queued fold."""
+    if workers == 1:
+        return [train(data, config, rng) for data, rng in zip(datasets, rngs)]
+    failed = threading.Event()
 
-    def run(first: int) -> None:
-        for fold in range(first, k, workers):
-            if interrupted.is_set():
-                return
-            try:
-                outcomes[fold] = train(datasets[fold], config, rngs[fold])
-            except BaseException as err:
-                outcomes[fold] = err
-                if not isinstance(err, Exception):  # an interrupt: start no new fold
-                    interrupted.set()
-                return
+    def run(data: LabeledDataset, rng: np.random.Generator) -> TrainedModel | None:
+        if failed.is_set():
+            return None
+        try:
+            return train(data, config, rng)
+        except BaseException:
+            failed.set()
+            raise
 
-    threads = [threading.Thread(target=run, args=(first,), name=f"fold-worker-{first}")
-               for first in range(1, workers)]
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="fold-worker")
     try:
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
+        futures = [pool.submit(run, data, rng) for data, rng in zip(datasets, rngs)]
+        return [future.result() for future in futures]
     finally:
-        # Reached early only by an interrupt: the running folds finish, no
-        # new one starts, and no thread outlives the call.
-        interrupted.set()
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
-    return outcomes
+        pool.shutdown(cancel_futures=True)

@@ -138,6 +138,15 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "crossval"])
+    def test_kept_column_the_csv_lacks_names_the_csv(self, synth_csv, tmp_path, capsys,
+                                                     command):
+        out = tmp_path / "run"
+        assert run(command, "--data", synth_csv, "--keep-columns", "f01,x3",
+                   "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {synth_csv}: unknown column 'x3'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "crossval"])
     def test_threshold_outside_a_sigmoid_range_rejected(self, tmp_path, capsys, command):
         folds = ["--k", 2] if command == "crossval" else []
         argv = [command, "--data", xor_csv_path(), *folds, "--threshold", 7,
@@ -620,6 +629,21 @@ class TestCrossval:
                    "--iterations", 3, "--seed", 1, "--out-dir", out) == 0
         for name in ("folds.csv", "class_success.csv", "fold_metrics.csv"):
             assert (out / name).is_file()
+
+    def test_value_a_fold_scales_past_the_float_range_names_csv_line(self, tmp_path,
+                                                                       capsys):
+        """Column x1 holds 5e-324 and 0.0 in turn, then 1.0 on line 22: a
+        fold that tests that row scales it by a training range 5e-324 wide."""
+        data = tmp_path / "narrow.csv"
+        rows = [f"{'5e-324' if i % 2 == 0 else '0.0'},{i / 20!r},{i % 2}" for i in range(20)]
+        data.write_text("\n".join(["x1,x2,label", *rows, "1.0,0.5,1"]) + "\n")
+        out = tmp_path / "cv"
+        assert run("crossval", "--data", data, "--k", 3, "--iterations", 2,
+                   "--population", 3, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data}: line 22, column 'x1': 1.0 scales past the float range "
+            "under its fold's min-max scaling\n")
+        assert not out.exists()
 
     def test_bad_k(self, synth_csv, tmp_path, capsys):
         assert run("crossval", "--data", synth_csv, "--k", 1,

@@ -1,5 +1,6 @@
 """Confusion matrices, the five ratio metrics, AUC, folds, cross-validation."""
 
+import concurrent.futures
 import os
 import sys
 import threading
@@ -9,7 +10,7 @@ import pytest
 
 from fdo_mlp import evaluation
 from fdo_mlp.cli import _crossval_csvs
-from fdo_mlp.data import LabeledDataset, generate_synthetic
+from fdo_mlp.data import LabeledDataset, ScaleOverflowError, generate_synthetic
 from fdo_mlp.evaluation import (ConfusionMatrix, CrossValReport, FoldReport, auc,
                                 bp_trainer, confusion_matrix, cross_validate,
                                 format_metric, kfold_splits, metrics, truncate_metric,
@@ -221,6 +222,23 @@ class TestCrossValidate:
             cross_validate(data, k, config, train=train)
         assert train.calls == []
 
+    @pytest.mark.parametrize("low, high", [(0.0, 5e-324), (-1e308, 1.0)])
+    def test_scaling_overflow_names_the_row_in_the_dataset(self, low, high):
+        """Row 19 holds 1e308 among values between ``low`` and ``high``: a
+        test split scaled by a training range that narrow, or a training
+        split whose span overflows, fails at row 19, not at its index in
+        the split."""
+        column = np.resize([low, high], 21)
+        column[19] = 1e308
+        data = LabeledDataset(np.column_stack([column, np.linspace(0, 1, 21)]),
+                              np.resize([0, 1], 21), ("x1", "x2"))
+        config = tiny_config(2)
+        train = FakeTrainer(config)
+        with pytest.raises(ScaleOverflowError) as err:
+            cross_validate(data, 3, config, train=train)
+        assert (err.value.row, err.value.column, err.value.value) == (19, "x1", 1e308)
+        assert train.calls == []
+
     def test_averages_match_fold_means(self):
         data = generate_synthetic(30, 2, 5.0, 0.5, np.random.default_rng(2))
         report = cross_validate(data, 3, tiny_config(2, seed=7))
@@ -335,16 +353,16 @@ class TestCrossValidateThreads:
         assert len(two.folds) == k
         assert repr(two.folds) == repr(one.folds)  # repr spells out every float
 
-    def test_calling_thread_trains_every_other_fold(self, cpus, fdo_fake):
+    def test_two_pool_threads_train_each_fold_once(self, cpus, fdo_fake):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
         cpus(2)
         train = fdo_fake(config)
         cross_validate(data, 5, config)
-        threads = dict(train.calls)
-        assert sorted(threads) == [1, 2, 3, 4, 5]
-        assert {threads[fold] for fold in (1, 3, 5)} == {threading.current_thread()}
-        assert threads[2] is threads[4] is not threading.current_thread()
+        assert sorted(fold for fold, _ in train.calls) == [1, 2, 3, 4, 5]
+        threads = {thread for _, thread in train.calls}
+        assert 1 <= len(threads) <= 2
+        assert all(thread.name.startswith("fold-worker") for thread in threads)
 
     def test_one_cpu_trains_in_the_calling_thread(self, cpus, fdo_fake):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
@@ -363,16 +381,18 @@ class TestCrossValidateThreads:
         assert train.calls == [(fold, threading.current_thread()) for fold in (1, 2, 3)]
 
     def test_lowest_failing_fold_is_raised(self, cpus, fdo_fake):
-        """Folds 3 and 4 fail on different threads; fold 3's error is the
-        one a sequential run raises, and fold 5, after fold 3 on the same
-        thread, never trains."""
+        """Folds 3 and 4 fail; fold 3's error is the one a sequential run
+        raises. Fold 4 may be skipped, depending on which thread is first,
+        but fold 5 starts only after fold 3 or 4 has failed, so it never
+        trains."""
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
         cpus(2)
         train = fdo_fake(config, failing=(3, 4))
         with pytest.raises(RuntimeError, match="^fold 3 failed$"):
             cross_validate(data, 5, config)
-        assert sorted(fold for fold, _ in train.calls) == [1, 2, 3, 4]
+        trained = sorted(fold for fold, _ in train.calls)
+        assert trained in ([1, 2, 3], [1, 2, 3, 4])
 
     def test_no_thread_outlives_the_call(self, cpus, fdo_fake):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
@@ -406,10 +426,11 @@ class TestCrossValidateThreads:
 
     def test_interrupt_stops_the_other_share_from_starting_a_fold(self, cpus,
                                                                  monkeypatch):
-        """Fold 1, in the calling thread, is interrupted while fold 2 trains
-        in the other thread; fold 2 ends only once the calling thread waits
-        at its join, so the other share's next fold, fold 4, would start
-        then, were the interrupt not seen."""
+        """Fold 1 is interrupted on one pool thread while fold 2, on the
+        other, is held until the calling thread joins the pool. The thread
+        that ran fold 1 takes the next queued fold before the calling thread
+        can cancel it, so only the seen interrupt keeps folds 3 to 5 from
+        training."""
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
         cpus(2)
@@ -438,6 +459,43 @@ class TestCrossValidateThreads:
             cross_validate(data, 5, config)
         assert threading.active_count() == before
         assert [fold for fold, _ in train.calls] == [2]
+
+    def test_interrupted_wait_starts_no_queued_fold(self, cpus, monkeypatch):
+        """Ctrl-C reaches the calling thread, which waits on the folds, while
+        folds 1 and 2 train; they finish once the pool is joined, and folds
+        3 to 5, still queued, never start."""
+        data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
+        config = tiny_config(2)
+        cpus(2)
+        train = FakeTrainer(config)
+        started = {1: threading.Event(), 2: threading.Event()}
+        released = threading.Event()
+        real_join = threading.Thread.join
+
+        def join(thread, timeout=None):
+            released.set()
+            return real_join(thread, timeout)
+
+        def result(future, timeout=None):
+            assert started[1].wait(10) and started[2].wait(10)
+            raise KeyboardInterrupt
+
+        def trainer(train_data, cfg, rng):
+            fold = fold_of(rng)
+            if fold in started:
+                started[fold].set()
+                assert released.wait(10)
+            return train(train_data, cfg, rng)
+
+        monkeypatch.setattr(threading.Thread, "join", join)
+        monkeypatch.setattr(concurrent.futures.Future, "result", result)
+        monkeypatch.setattr(evaluation, "train_fdo_mlp", trainer)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            cross_validate(data, 5, config)
+        assert threading.active_count() == before
+        assert sorted(fold for fold, _ in train.calls) == [1, 2]
+        assert len({thread for _, thread in train.calls}) == 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_single_class_fold_fails_before_any_training(self, threads, cpus, fdo_fake):
