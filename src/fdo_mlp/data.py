@@ -83,10 +83,11 @@ def load_csv(path, label_column: str) -> LabeledDataset:
     numbers; the label column must contain only 0 and 1. Parse failures
     report the file line the row starts on and the column name; a feature
     column whose max - min overflows is rejected by name, and a file the
-    csv module or the UTF-8 decoder cannot read fails naming the file.
+    csv module or the UTF-8 decoder cannot read fails naming the file. A
+    leading byte-order mark is not part of the first column's name.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = _csv_rows(path, handle)
         try:
             _, header = next(reader)
@@ -157,7 +158,7 @@ def csv_data_line(path, row: int) -> int:
     """The file line on which the 0-based data row ``row`` of a CSV file
     starts, counted as :func:`load_csv` counts lines."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         rows = _csv_rows(path, handle)
         next(rows, None)
         for index, (line_no, _) in enumerate(rows):
@@ -167,9 +168,10 @@ def csv_data_line(path, row: int) -> int:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file; a file that is not UTF-8 fails naming it."""
+    """The text of a UTF-8 file without a leading byte-order mark; a file
+    that is not UTF-8 fails naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text: {err}") from None
 

@@ -115,46 +115,41 @@ def encode(params: MlpParams) -> np.ndarray:
     return np.concatenate([hidden_block.ravel(), output_block.ravel()])
 
 
-def sigmoid(s, out=None, mask=None):
+def sigmoid(s, out=None):
     """Logistic function 1 / (1 + exp(-s)), elementwise; scalars give scalars.
 
-    One e = exp(-|s|) serves both signs, so exp never overflows. The
-    numerator max(e, s >= 0) is 1 for s >= 0 (there e <= 1) and e below
-    (there the mask is 0 and e >= 0); NaN stays NaN. Each element is
-    therefore the same division as in the two-branch form 1 / (1 + e) for
-    s >= 0 and e / (1 + e) otherwise, and gives the same bits, without a
-    second division or a select.
+    Below s = -709.78 exp(-s) overflows to inf and the result is 0, without
+    a warning; the exact value there is under 2.3e-308. NaN stays NaN.
 
-    Given ``out`` (float) and ``mask`` (bool) arrays shaped like an array
-    ``s``, the result is written to ``out`` and nothing is allocated: ``s``
-    then holds e and 1 + e in turn, so its values are lost.
+    Given an ``out`` array shaped like an array ``s``, the result is written
+    to ``out`` and nothing is allocated: ``s`` then holds -s, exp(-s) and
+    1 + exp(-s) in turn, so its values are lost.
     """
     s = np.asarray(s, dtype=float)
-    positive = np.greater_equal(s, 0.0, out=mask)
     scratch = None if out is None else s
-    e = np.exp(np.negative(np.abs(s, out=scratch), out=scratch), out=scratch)
-    numerator = np.maximum(e, positive, out=out)
-    return np.divide(numerator, np.add(e, 1.0, out=scratch), out=out)[()]
+    with np.errstate(over="ignore"):
+        e = np.exp(np.negative(s, out=scratch), out=scratch)
+    return np.divide(1.0, np.add(e, 1.0, out=scratch), out=out)[()]
 
 
 def _forward_pass(params: MlpParams, x: np.ndarray, sigmoid_output: bool,
-                  work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                  work: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and network outputs: the one forward body.
 
     Stacked params (a leading axis of length c) give ``(c, samples, units)``
-    arrays, one matrix product per slice. ``work`` holds a pre-activation,
-    an activation and a bool mask array shaped like the hidden layer; the
-    layer is then computed in them instead of in fresh arrays, and the
-    returned activations are a view of the second one.
+    arrays, one matrix product per slice. ``work`` holds a pre-activation
+    and an activation array shaped like the hidden layer; the layer is then
+    computed in them instead of in fresh arrays, and the returned
+    activations are a view of the second one.
     """
     biases, output_biases = params.hidden_biases, params.output_biases
     if params.input_hidden_weights.ndim == 3:
         biases, output_biases = biases[:, None], output_biases[:, None]
-    pre, hidden, mask = (None, None, None) if work is None else work
+    pre, hidden = (None, None) if work is None else work
     s = np.matmul(x, params.input_hidden_weights, out=pre)
     s += biases
-    hidden = sigmoid(s, hidden, mask)
+    hidden = sigmoid(s, hidden)
     out = hidden @ params.hidden_output_weights
     out += output_biases
     return hidden, (sigmoid(out) if sigmoid_output else out)

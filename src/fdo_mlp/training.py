@@ -152,7 +152,6 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
     layer = (data.n_samples, topology.hidden)
     chunk = max(1, _CHUNK_BYTES // (8 * layer[0] * layer[1]))
     pre, hidden = np.empty((chunk, *layer)), np.empty((chunk, *layer))
-    mask = np.empty((chunk, *layer), dtype=bool)
 
     def objective(flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
@@ -162,7 +161,7 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
             block = rows[start:start + chunk]
             c = len(block)
             outputs = _forward_pass(decode(block, topology), features, sigmoid_output,
-                                    (pre[:c], hidden[:c], mask[:c]))[1]
+                                    (pre[:c], hidden[:c]))[1]
             values[start:start + c] = _mse(outputs - targets)
         return values if flat.ndim == 2 else float(values[0])
 
@@ -180,10 +179,8 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
 
 def _backprop_work(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
     """The (rows, hidden) arrays one :func:`_loss_and_gradient` pass computes
-    in: the forward pass's pre-activation, activation and bool mask, then
-    ``d_hidden``."""
-    layer = (rows, hidden)
-    return np.empty(layer), np.empty(layer), np.empty(layer, dtype=bool), np.empty(layer)
+    in: the forward pass's pre-activation and activation, then ``d_hidden``."""
+    return tuple(np.empty((rows, hidden)) for _ in range(3))
 
 
 def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
@@ -205,8 +202,8 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     product is a sum, whose fused rounding a separate multiply and add would
     not repeat, so it stays a matrix product.
     """
-    pre, hidden, mask, d_hidden = work
-    hidden, out = _forward_pass(params, x, sigmoid_output, (pre, hidden, mask))
+    pre, hidden, d_hidden = work
+    hidden, out = _forward_pass(params, x, sigmoid_output, (pre, hidden))
     residuals = out - targets
     loss = _mse(residuals)
     d_out = (2.0 / x.shape[0]) * residuals
@@ -220,7 +217,7 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     else:
         np.matmul(d_out, weights_out.T, out=d_hidden)
     d_hidden *= hidden
-    # the pre-activation is spent: sigmoid left it holding 1 + exp(-|s|)
+    # the pre-activation is spent: sigmoid left it holding 1 + exp(-s)
     d_hidden *= np.subtract(1.0, hidden, out=pre)
     if grads is None:
         grads = tuple(np.empty(p.shape) for p in (params.input_hidden_weights,

@@ -120,6 +120,13 @@ class TestTrain:
         model = train_fdo_mlp(min_max_normalize(load_csv(xor_csv_path(), "label")), config)
         assert (out / "model.txt").read_text().startswith(params_to_text(model.params))
 
+    def test_byte_order_mark_stays_out_of_model_columns(self, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + xor_csv_path().read_bytes())
+        out = tmp_path / "run"
+        assert run("train", "--data", data, "--iterations", 2, "--out-dir", out) == 0
+        assert "keep-columns = x1,x2\n" in (out / "model.txt").read_text(encoding="utf-8")
+
     def test_repeated_keep_column_rejected(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "run"
         assert run("train", "--data", synth_csv, "--keep-columns", "f01,f01",
@@ -330,6 +337,13 @@ class TestConfigFile:
                    "--iterations", "4", "--out-dir", tmp_path / "never") == 1
         assert "line 1: configuration key 'iterations': cannot parse 'many'" in (
             capsys.readouterr().err)
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\ufeffiterations = 4\npopulation = 6\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert run("train", "--data", xor_csv_path(), "--config", cfg, "--out-dir", out) == 0
+        assert len((out / "convergence.csv").read_text().splitlines()) == 5
 
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -88,6 +88,17 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"data.csv: not UTF-8 text: .* 0xff"):
             load_csv(path, "label")
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        """A BOM before a first-column label; errors still name file lines."""
+        path = write(tmp_path, "\ufefflabel,a\n1,9\n0,8\n")
+        data = load_csv(path, "label")
+        assert data.column_names == ("a",)
+        np.testing.assert_array_equal(data.labels, [1, 0])
+        path = write(tmp_path, '\ufefflabel,a\n1,9\n0,"8\n"\n1,x\n')
+        with pytest.raises(ValueError, match=r"data.csv: line 5, column 'a': cannot parse 'x'"):
+            load_csv(path, "label")
+        assert [csv_data_line(path, row) for row in range(3)] == [2, 3, 5]
+
     @pytest.mark.parametrize("header", ["a,a,label", "a,b, a,label", "a,label,label"])
     def test_repeated_column_name_names_file_and_column(self, tmp_path, header):
         name = "label" if header.endswith("label,label") else "a"

@@ -7,7 +7,9 @@ The optimizer runs after those (weight factors, a single scout, zero
 fitness, the XOR search) also pin the evaluation count and the best
 position, and were recorded before the swarm was held as arrays. The
 backprop runs' best-params digests and the sigmoid-output backprop run were
-recorded before the backprop epoch reused its arrays.
+recorded before the backprop epoch reused its arrays. The FDO search,
+backprop, cross-validation and XOR figures were re-recorded when the
+sigmoid became 1 / (1 + exp(-s)), which rounds s < 0 differently.
 A failure means a change altered seeded arithmetic, not that training got
 worse.
 
@@ -54,19 +56,19 @@ def test_fdo_fold_one_search():
     config = TrainingConfig.for_topology(TOPOLOGY, population=40,
                                          max_iterations=75, seed=11)
     model = train_fdo_mlp(train, config, rng)
-    assert repr(model.train_mse) == "0.008407583112692088"
+    assert repr(model.train_mse) == "0.008407583112692161"
     assert len(model.curve) == 75
     assert _digest(model.curve.values) == (
-        "3cefc52544f92ab41ca593cbe887eff982a9e997fd3ad1e5f2f10a1e32ba5934")
+        "a54a35db260303fcfb6b6543cd19d14d4394bae8fa2531615a9b40a0ac658712")
 
 
 def test_backprop_fold_one_500_epochs():
     train, rng = _criterion_7_fold_one()
     model = train_bp_mlp(train, TOPOLOGY, 0.5, 500, rng)
-    assert repr(model.train_mse) == "0.0585699328827292"
+    assert repr(model.train_mse) == "0.058569931524411284"
     assert len(model.curve) == 500
     assert _digest(model.curve.values) == (
-        "642ca35a62207687d4ae676c6a880e77e5976f541192a9ecd279aa3fc85dbd14")
+        "b255a883e88b3f30b6a9feb406e9de6b26e40c5afb5aac8080b98f53bb793911")
 
 
 def test_sphere_seed_zero():
@@ -110,7 +112,7 @@ def test_fdo_fold_one_search_objective_rows():
     objective, rows = _row_counting(
         make_objective(config.topology, train, config.sigmoid_output))
     result = optimize(objective, config.fdo, rng)
-    assert repr(result.best_fitness) == "0.008407583112692088"
+    assert repr(result.best_fitness) == "0.008407583112692161"
     assert (rows[0], result.evaluations) == (3459, 5618)
 
 
@@ -126,7 +128,7 @@ def test_crossval_report_bytes(tmp_path):
                      "--population", "6", "--iterations", "5", "--seed", "9",
                      "--out-dir", str(tmp_path / "cv")]) == 0
     expected = {
-        "folds.csv": "2f2ed9de2967fe7e19e6383a498015fc493c4a2aa56034dcce6868f2907bffd7",
+        "folds.csv": "190725150adbca52d2dc91cb68375185468eb3f16cb0597b09307dcea6f193c2",
         "fold_metrics.csv":
             "f2c74dbd83cb2de3e4bcad62464a4ec19b5d9743c904e3b0f72788fb1b7123fa",
     }
@@ -205,9 +207,9 @@ def test_xor_search_seed_zero():
                                          weight_bounds=(-10.0, 10.0), seed=0)
     result = optimize(make_objective(config.topology, xor, config.sigmoid_output),
                       config.fdo)
-    _assert_run(result, "0.00020889974501243718", 14346,
-                "c7ba75d7089eb7ace1a061f4ff9c6600fe3b62176cc7a26bb55bd652f0bb4b2a",
-                "6ac2c6ec8e9d65913e37fb792bf31daa19a6b1f8347c74b6f449e3cb0ae9b8fc")
+    _assert_run(result, "0.0002088997450152195", 14346,
+                "a5a1ddfd3a19b548678d59bbf012a20d81d0bb90803d72877dcd58f2b0853dd1",
+                "78c0530cd1b68d08f4bd745cc86e3067092c34dfde1b42f57549983735b37ec6")
 
 
 def _params_digest(params) -> str:
@@ -223,16 +225,16 @@ def test_backprop_fold_one_500_epochs_best_params():
     train, rng = _criterion_7_fold_one()
     model = train_bp_mlp(train, TOPOLOGY, 0.5, 500, rng)
     assert _params_digest(model.params) == (
-        "7ee872cacfec45d48875eaf11856774c09b47910014f8a2a58b057969155a97c")
+        "aae424212d251667456317cce22f70959e43fd5b15175b8e59522166c75497ea")
 
 
 def test_backprop_fold_one_500_epochs_sigmoid_output():
     """The d_out * out * (1 - out) branch of the gradient."""
     train, rng = _criterion_7_fold_one()
     model = train_bp_mlp(train, TOPOLOGY, 0.5, 500, rng, sigmoid_output=True)
-    assert repr(model.train_mse) == "0.011403162237117355"
+    assert repr(model.train_mse) == "0.011403162237117358"
     assert len(model.curve) == 500
     assert _digest(model.curve.values) == (
-        "e1e09c343a8e83aa4a8863383637a03e82b5990effc24d37d88f0506770e6ba8")
+        "19ad8fe570405fe06b8c4f7c1e0911eb11bfae31ea2ec37bce56647a4e679319")
     assert _params_digest(model.params) == (
-        "3445ea4c31ec092b03af0f9b6236273b422646df329f786585e8a0815a817d03")
+        "6e3458efcad30380c76a21f61ebfdeabb8d58a563d51c37f20dbacae39cb0121")
