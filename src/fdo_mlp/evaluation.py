@@ -306,7 +306,7 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
 
 # The most threads FDO folds train on. Only 2, on 2 CPUs, has been measured
 # (the crossval-fdo benchmark's wall time went to 0.75x at seed 0 and 0.86x
-# at seed 1009); each further thread would add another fold's ~2.2 MB of work
+# at seed 1009); each further thread would add another fold's ~1.8 MB of work
 # arrays at an unmeasured gain.
 _FOLD_THREADS = 2
 

@@ -2,7 +2,8 @@
 
 The network computes ``O = V^T sigmoid(W^T x + b_h) + b_o`` with sigmoid
 hidden units and a linear output layer (an optional sigmoid on the output is
-available for experimentation). All parameters live in one flat vector so a
+available for experimentation). The hidden layer is one matrix product,
+t = -[x | 1] @ [W; b_h], and three passes, 1 / (1 + exp(t)). All parameters live in one flat vector so a
 black-box optimizer can search over them directly. The canonical layout
 interleaves each hidden unit's incoming weights with its bias, then each
 output unit's incoming weights with its bias:
@@ -15,7 +16,7 @@ which makes the total length (n+1)*m + (m+1)*o.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,19 +35,24 @@ class MlpTopology:
                 raise ValueError(f"{name} must be at least 1")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MlpParams:
     """Structured view of one parameter vector.
 
     Shapes: input_hidden_weights (n, m), hidden_biases (m,),
     hidden_output_weights (m, o), output_biases (o,). Params decoded from a
     ``(c, d)`` stack of vectors carry a leading axis of length c on each.
+
+    Params from :func:`decode` and the backprop trainer hold [W; b_h] as one
+    ``(n + 1, m)`` block that the first two arrays view, for the forward pass
+    to multiply as it is; other params have the two joined per pass.
     """
 
     input_hidden_weights: np.ndarray
     hidden_biases: np.ndarray
     hidden_output_weights: np.ndarray
     output_biases: np.ndarray
+    _hidden_block: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         *stack, n, m = self.input_hidden_weights.shape
@@ -54,6 +60,18 @@ class MlpParams:
         if (stack_out != stack or m2 != m or self.hidden_biases.shape != (*stack, m)
                 or self.output_biases.shape != (*stack, o)):
             raise ValueError("parameter shapes are inconsistent")
+
+    @classmethod
+    def _with_hidden_block(cls, block: np.ndarray, *output_layer: np.ndarray) -> "MlpParams":
+        params = cls(block[..., :-1, :], block[..., -1, :], *output_layer)
+        object.__setattr__(params, "_hidden_block", block)
+        return params
+
+    def _joined_hidden(self) -> np.ndarray:
+        """[W; b_h]: the held block, else the two joined into a new one."""
+        if self._hidden_block is not None:
+            return self._hidden_block
+        return np.concatenate([self.input_hidden_weights, self.hidden_biases[..., None, :]], -2)
 
     @property
     def topology(self) -> MlpTopology:
@@ -80,8 +98,9 @@ def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
 
     The result owns C-ordered copies: each layer's block is copied once,
     transposed to (fan-in + 1, units), and split into its weight rows and
-    its bias row. Later writes to ``flat`` do not reach the result, and both
-    matrix products read contiguous weights (per slice, for a stack).
+    its bias row; the hidden block is also held whole. Later writes to
+    ``flat`` do not reach the result, and both matrix products read
+    contiguous weights (per slice, for a stack).
     """
     flat = np.asarray(flat, dtype=float)
     expected = vector_dimension(topology)
@@ -98,12 +117,8 @@ def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
         flat[..., :(n + 1) * m].reshape(*stack, m, n + 1), -1, -2).copy()
     output_block = np.swapaxes(
         flat[..., (n + 1) * m:].reshape(*stack, o, m + 1), -1, -2).copy()
-    return MlpParams(
-        input_hidden_weights=hidden_block[..., :n, :],
-        hidden_biases=hidden_block[..., n, :],
-        hidden_output_weights=output_block[..., :m, :],
-        output_biases=output_block[..., m, :],
-    )
+    return MlpParams._with_hidden_block(hidden_block, output_block[..., :m, :],
+                                        output_block[..., m, :])
 
 
 def encode(params: MlpParams) -> np.ndarray:
@@ -115,41 +130,51 @@ def encode(params: MlpParams) -> np.ndarray:
     return np.concatenate([hidden_block.ravel(), output_block.ravel()])
 
 
+def _logistic_of_negated(t, out=None):
+    """1 / (1 + exp(t)), the logistic function of s = -t, in three passes.
+    Below s = -709.78 exp(t) overflows and the result is 0, without a
+    warning; the exact value there is under 2.3e-308. NaN stays NaN. Given
+    ``out``, which may be ``t`` itself, nothing is allocated and ``t`` is
+    spent: it holds exp(t) and then 1 + exp(t)."""
+    scratch = None if out is None else t
+    with np.errstate(over="ignore"):
+        e = np.exp(t, out=scratch)
+    return np.divide(1.0, np.add(e, 1.0, out=scratch), out=out)
+
+
 def sigmoid(s, out=None):
-    """Logistic function 1 / (1 + exp(-s)), elementwise; scalars give scalars.
-
-    Below s = -709.78 exp(-s) overflows to inf and the result is 0, without
-    a warning; the exact value there is under 2.3e-308. NaN stays NaN.
-
-    Given an ``out`` array shaped like an array ``s``, the result is written
-    to ``out`` and nothing is allocated: ``s`` then holds -s, exp(-s) and
-    1 + exp(-s) in turn, so its values are lost.
+    """Logistic function 1 / (1 + exp(-s)), elementwise, with the edge values
+    of :func:`_logistic_of_negated`; scalars give scalars. Given an ``out``
+    array shaped like an array ``s``, the result is written to ``out`` and
+    nothing is allocated: ``s`` then holds -s, exp(-s) and 1 + exp(-s) in
+    turn, so its values are lost.
     """
     s = np.asarray(s, dtype=float)
-    scratch = None if out is None else s
-    with np.errstate(over="ignore"):
-        e = np.exp(np.negative(s, out=scratch), out=scratch)
-    return np.divide(1.0, np.add(e, 1.0, out=scratch), out=out)[()]
+    return _logistic_of_negated(np.negative(s, out=None if out is None else s), out)[()]
 
 
-def _forward_pass(params: MlpParams, x: np.ndarray, sigmoid_output: bool,
-                  work: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _negated_inputs(x: np.ndarray) -> np.ndarray:
+    """-[x | 1]: one input vector, or a row of inputs each, negated and with
+    a -1 appended, the left operand of the hidden layer's product."""
+    return np.concatenate([-x, np.full((*x.shape[:-1], 1), -1.0)], -1)
+
+
+def _forward_pass(params: MlpParams, inputs: np.ndarray, sigmoid_output: bool,
+                  work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Hidden activations and network outputs: the one forward body.
 
-    Stacked params (a leading axis of length c) give ``(c, samples, units)``
-    arrays, one matrix product per slice. ``work`` holds a pre-activation
-    and an activation array shaped like the hidden layer; the layer is then
-    computed in them instead of in fresh arrays, and the returned
-    activations are a view of the second one.
+    ``inputs`` is :func:`_negated_inputs` of the features. The hidden layer
+    is t = -[x | 1] @ [W; b_h], with the bits of -(x @ W + b_h) wherever BLAS
+    rounds the joined product like the split one, then 1 / (1 + exp(t)) in
+    place. Stacked params (a leading axis of length c) give ``(c, samples,
+    units)`` arrays, one product per slice. ``work``, shaped like the hidden
+    layer, holds t and is returned as the activations.
     """
-    biases, output_biases = params.hidden_biases, params.output_biases
-    if params.input_hidden_weights.ndim == 3:
-        biases, output_biases = biases[:, None], output_biases[:, None]
-    pre, hidden = (None, None) if work is None else work
-    s = np.matmul(x, params.input_hidden_weights, out=pre)
-    s += biases
-    hidden = sigmoid(s, hidden)
+    output_biases = params.output_biases
+    if params.hidden_output_weights.ndim == 3:
+        output_biases = output_biases[:, None]
+    t = np.matmul(inputs, params._joined_hidden(), out=work)
+    hidden = _logistic_of_negated(t, t)
     out = hidden @ params.hidden_output_weights
     out += output_biases
     return hidden, (sigmoid(out) if sigmoid_output else out)
@@ -161,7 +186,7 @@ def forward(params: MlpParams, inputs, sigmoid_output: bool = False) -> np.ndarr
     n = params.input_hidden_weights.shape[0]
     if x.shape != (n,):
         raise ValueError(f"input has shape {x.shape}, expected ({n},)")
-    return _forward_pass(params, x, sigmoid_output)[1]
+    return _forward_pass(params, _negated_inputs(x), sigmoid_output)[1]
 
 
 def forward_batch(params: MlpParams, inputs: np.ndarray,
@@ -171,7 +196,7 @@ def forward_batch(params: MlpParams, inputs: np.ndarray,
     n = params.input_hidden_weights.shape[0]
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"input matrix has shape {x.shape}, expected (*, {n})")
-    return _forward_pass(params, x, sigmoid_output)[1]
+    return _forward_pass(params, _negated_inputs(x), sigmoid_output)[1]
 
 
 def output_labels(outputs: np.ndarray, threshold: float = 0.5) -> np.ndarray:

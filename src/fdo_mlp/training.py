@@ -19,8 +19,8 @@ import numpy as np
 from .data import LabeledDataset
 from .fdo import (DEFAULT_SEED, ConvergenceCurve, EvaluationError, FdoConfig,
                   optimize, uniform_bounds)
-from .mlp import (MlpParams, MlpTopology, _forward_pass, decode, forward_batch,
-                  vector_dimension)
+from .mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
+                  forward_batch, vector_dimension)
 from .mlp import sigmoid  # noqa: F401  unused, but perfbench/tracing.py patches it
 
 #: Bytes of hidden-layer matrix one objective call evaluates at a time. A
@@ -139,19 +139,18 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
     """Pure objective mapping flat parameter vectors to their training MSE:
     a ``(k, d)`` matrix gives ``k`` values, one ``(d,)`` vector a float.
 
-    The dataset is checked, its targets built and the hidden layer's work
-    arrays allocated here, once. A call takes the rows in chunks of
-    ``_CHUNK_BYTES`` worth of hidden layer: one :func:`decode` into stacked
-    weights and one forward pass over the stack per chunk. Each value equals
-    :func:`mse_fitness` of its decoded row bit for bit. Calls share the work
-    arrays, so one objective must not run in two threads at once.
+    The dataset is checked, its targets and negated inputs built and the
+    hidden layer's work array allocated here, once. A call takes the rows in
+    chunks of ``_CHUNK_BYTES`` worth of hidden layer: one :func:`decode` into
+    stacked weights and one forward pass over the stack per chunk. Each value
+    equals :func:`mse_fitness` of its decoded row bit for bit. Calls share the
+    work array, so one objective must not run in two threads at once.
     """
     _check_dataset(topology, data)
-    features = data.features
+    inputs = _negated_inputs(data.features)
     targets = _target_matrix(data.labels, topology.outputs)
-    layer = (data.n_samples, topology.hidden)
-    chunk = max(1, _CHUNK_BYTES // (8 * layer[0] * layer[1]))
-    pre, hidden = np.empty((chunk, *layer)), np.empty((chunk, *layer))
+    chunk = max(1, _CHUNK_BYTES // (8 * data.n_samples * topology.hidden))
+    layer = np.empty((chunk, data.n_samples, topology.hidden))
 
     def objective(flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
@@ -160,8 +159,8 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
         for start in range(0, len(rows), chunk):
             block = rows[start:start + chunk]
             c = len(block)
-            outputs = _forward_pass(decode(block, topology), features, sigmoid_output,
-                                    (pre[:c], hidden[:c]))[1]
+            outputs = _forward_pass(decode(block, topology), inputs, sigmoid_output,
+                                    layer[:c])[1]
             values[start:start + c] = _mse(outputs - targets)
         return values if flat.ndim == 2 else float(values[0])
 
@@ -177,23 +176,37 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
     return TrainedModel(params=params, train_mse=result.best_fitness, curve=result.curve)
 
 
-def _backprop_work(rows: int, hidden: int) -> tuple[np.ndarray, ...]:
-    """The (rows, hidden) arrays one :func:`_loss_and_gradient` pass computes
-    in: the forward pass's pre-activation and activation, then ``d_hidden``."""
-    return tuple(np.empty((rows, hidden)) for _ in range(3))
+def _flat_params(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
+    """Params viewing consecutive blocks of ``flat``: [W; b_h] as one
+    (n + 1, m) block, then V and b_o. Backprop keeps its parameters, their
+    gradient and its best parameters in this layout."""
+    n, m, o = topology.inputs, topology.hidden, topology.outputs
+    i = (n + 1) * m
+    j = i + m * o
+    return MlpParams._with_hidden_block(flat[:i].reshape(n + 1, m),
+                                        flat[i:j].reshape(m, o), flat[j:])
+
+
+def _backprop_work(x: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
+    """What one :func:`_loss_and_gradient` pass over the features ``x``
+    computes with: -[x | 1] and [x | 1]ᵀ, built here once, then three
+    (rows, hidden) arrays for the activations, a spare and ``d_hidden``."""
+    inputs = _negated_inputs(x)
+    return (inputs, np.negative(inputs).T,
+            *(np.empty((x.shape[0], hidden)) for _ in range(3)))
 
 
 def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
                        sigmoid_output: bool, work: tuple[np.ndarray, ...],
-                       grads: tuple[np.ndarray, ...] | None = None
-                       ) -> tuple[float, tuple[np.ndarray, ...]]:
+                       grads: MlpParams | None = None) -> tuple[float, MlpParams]:
     """:func:`mse_fitness` and its gradient from one forward pass over the
     features ``x`` against a prebuilt :func:`_target_matrix`.
 
-    The gradient comes as four arrays laid out like the params: ``grads``,
-    written in place, or else four fresh ones. Every hidden-layer-sized value
-    is computed in ``work``, from :func:`_backprop_work`, so a call given
-    ``grads`` allocates only arrays of the size of the output layer.
+    The gradient comes as params: ``grads``, written in place, or else fresh
+    ones. Every hidden-layer-sized value is computed in ``work``, from
+    :func:`_backprop_work` on ``x``, so a call given ``grads`` allocates only
+    arrays of the size of the output layer. The W and b_h rows are one
+    product, [x | 1]ᵀ @ d_hidden, into the held [W; b_h] block of ``grads``.
 
     With one output unit, ``d_out @ V.T`` is an elementwise outer product.
     Where a zero of ``d_out`` meets a negative weight, the product is -0 and
@@ -202,8 +215,8 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     product is a sum, whose fused rounding a separate multiply and add would
     not repeat, so it stays a matrix product.
     """
-    pre, hidden, d_hidden = work
-    hidden, out = _forward_pass(params, x, sigmoid_output, (pre, hidden))
+    inputs, inputs_t, hidden, spare, d_hidden = work
+    hidden, out = _forward_pass(params, inputs, sigmoid_output, hidden)
     residuals = out - targets
     loss = _mse(residuals)
     d_out = (2.0 / x.shape[0]) * residuals
@@ -217,16 +230,12 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     else:
         np.matmul(d_out, weights_out.T, out=d_hidden)
     d_hidden *= hidden
-    # the pre-activation is spent: sigmoid left it holding 1 + exp(-s)
-    d_hidden *= np.subtract(1.0, hidden, out=pre)
+    d_hidden *= np.subtract(1.0, hidden, out=spare)
     if grads is None:
-        grads = tuple(np.empty(p.shape) for p in (params.input_hidden_weights,
-                                                  params.hidden_biases, weights_out,
-                                                  params.output_biases))
-    np.matmul(x.T, d_hidden, out=grads[0])
-    np.add.reduce(d_hidden, axis=0, out=grads[1])
-    np.matmul(hidden.T, d_out, out=grads[2])
-    np.add.reduce(d_out, axis=0, out=grads[3])
+        grads = _flat_params(np.empty(vector_dimension(params.topology)), params.topology)
+    np.matmul(inputs_t, d_hidden, out=grads._hidden_block)
+    np.matmul(hidden.T, d_out, out=grads.hidden_output_weights)
+    np.add.reduce(d_out, axis=0, out=grads.output_biases)
     return loss, grads
 
 
@@ -237,19 +246,8 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
     topology = params.topology
     _check_dataset(topology, data)
     targets = _target_matrix(data.labels, topology.outputs)
-    work = _backprop_work(data.n_samples, topology.hidden)
-    return MlpParams(*_loss_and_gradient(params, data.features, targets,
-                                         sigmoid_output, work)[1])
-
-
-def _param_views(flat: np.ndarray, topology: MlpTopology) -> tuple[np.ndarray, ...]:
-    """W, b_h, V and b_o as C-contiguous views into consecutive blocks of
-    ``flat``: the layout backprop keeps its parameters and gradient in."""
-    n, m, o = topology.inputs, topology.hidden, topology.outputs
-    i = n * m
-    j = i + m
-    k = j + m * o
-    return flat[:i].reshape(n, m), flat[i:j], flat[j:k].reshape(m, o), flat[k:]
+    work = _backprop_work(data.features, topology.hidden)
+    return _loss_and_gradient(params, data.features, targets, sigmoid_output, work)[1]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -266,13 +264,12 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     offending epoch in the message, without numpy's overflow warnings.
 
     The run keeps its parameters, their gradient and the best parameters in
-    three flat vectors allocated once, each seen as four arrays through
-    :func:`_param_views`. An epoch's update is two calls over the whole
+    three flat vectors allocated once, each seen as params through
+    :func:`_flat_params`. An epoch's update is two calls over the whole
     vector (``grad *= lr; theta -= grad``, the bits of ``w - lr * g``), and
     the parameters are copied into the best vector only when the loss
-    strictly improves. The returned params own copies of the best vector's
-    views; the hidden layer is computed in work arrays allocated once per
-    run.
+    strictly improves. The returned params view a copy of the best vector;
+    the hidden layer is computed in work arrays allocated once per run.
     """
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be non-negative")
@@ -282,15 +279,14 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     gen = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     theta = np.empty(vector_dimension(topology))
     grad = np.empty_like(theta)
-    views = _param_views(theta, topology)
-    for view in views:
+    params, grads = _flat_params(theta, topology), _flat_params(grad, topology)
+    for view in (params.input_hidden_weights, params.hidden_biases,
+                 params.hidden_output_weights, params.output_biases):
         view[...] = gen.uniform(-0.5, 0.5, view.shape)
-    params = MlpParams(*views)
-    grads = _param_views(grad, topology)
     best = theta.copy()
     x = train_data.features
     targets = _target_matrix(train_data.labels, topology.outputs)
-    work = _backprop_work(train_data.n_samples, topology.hidden)
+    work = _backprop_work(x, topology.hidden)
     best_loss = _loss_and_gradient(params, x, targets, sigmoid_output, work, grads)[0]
     values: list[float] = []
     for epoch in range(1, epochs + 1):
@@ -304,8 +300,7 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
             best_loss = loss
             np.copyto(best, theta)
         values.append(best_loss)
-    kept = MlpParams(*(view.copy() for view in _param_views(best, topology)))
-    return TrainedModel(params=kept, train_mse=best_loss,
+    return TrainedModel(params=_flat_params(best.copy(), topology), train_mse=best_loss,
                         curve=ConvergenceCurve(tuple(values)))
 
 

@@ -1,14 +1,15 @@
 """Network arithmetic, the flat-vector codec, and the forward pass."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fdo_mlp.data import write_text_atomic
-from fdo_mlp.mlp import (MlpParams, MlpTopology, decode, encode, forward,
-                         forward_batch, hidden_size_rule, output_labels,
-                         params_from_text, params_to_text, sigmoid,
+from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
+                         encode, forward, forward_batch, hidden_size_rule,
+                         output_labels, params_from_text, params_to_text, sigmoid,
                          vector_dimension)
 
 
@@ -130,6 +131,24 @@ class TestCodec:
             assert params.input_hidden_weights.flags.c_contiguous
             assert params.hidden_output_weights.flags.c_contiguous
 
+    def test_hidden_block_is_held_not_copied(self):
+        """Decoded params hold [W; b_h] as the one block their first two
+        arrays view, single or stacked, and cannot be rebound to others."""
+        rng = np.random.default_rng(16)
+        topology = MlpTopology(4, 6, 2)
+        for flat in (rng.normal(size=vector_dimension(topology)),
+                     rng.normal(size=(3, vector_dimension(topology)))):
+            params = decode(flat, topology)
+            block = params._joined_hidden()
+            assert block is params._joined_hidden()
+            assert block.shape == (*flat.shape[:-1], 5, 6)
+            assert np.shares_memory(block, params.input_hidden_weights)
+            assert np.shares_memory(block, params.hidden_biases)
+            np.testing.assert_array_equal(block[..., :4, :], params.input_hidden_weights)
+            np.testing.assert_array_equal(block[..., 4, :], params.hidden_biases)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                params.hidden_biases = np.zeros(6)
+
     def test_zero_params_encode(self):
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
         np.testing.assert_array_equal(encode(params), np.zeros(4))
@@ -217,6 +236,30 @@ class TestForward:
                     forward(params, x, sigmoid_output=flag),
                     reference_forward(params, x, sigmoid_output=flag),
                     atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [1, 2, 3, 4, 5, 8, 9, 16, 17, 36, 37, 38, 64])
+    def test_hidden_layer_matches_textbook_fuzz(self, hidden):
+        """The joined product -[x | 1] @ [W; b_h] gives the activations of
+        sigmoid(x @ W + b_h) within the rounding of the two dot products: at
+        most (n + 1) eps (|x| @ |W| + |b_h|) apart before the sigmoid, whose
+        slope is at most 1/4, plus 4 ulp of the result. Stacked params,
+        decoded ones and ones joined per pass alike."""
+        rng = np.random.default_rng(40 + hidden)
+        eps = np.finfo(float).eps
+        for _ in range(4):
+            n = int(rng.integers(1, 21))
+            topology = MlpTopology(n, hidden, int(rng.integers(1, 4)))
+            x = rng.uniform(0, 1, (int(rng.integers(1, 40)), n))
+            stack = rng.uniform(-10, 10, (3, vector_dimension(topology)))
+            for params in (decode(stack, topology), decode(stack[0], topology),
+                           random_params(rng, topology, scale=3.0)):
+                weights, biases = params.input_hidden_weights, params.hidden_biases[..., None, :]
+                layer = _forward_pass(params, _negated_inputs(x), False)[0]
+                textbook = sigmoid(x @ weights + biases)
+                bound = (0.25 * (n + 1) * eps * (np.abs(x) @ np.abs(weights) + np.abs(biases))
+                         + 4 * np.spacing(textbook))
+                assert layer.shape == textbook.shape
+                assert (np.abs(layer - textbook) <= bound).all()
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)

@@ -7,8 +7,8 @@ import pytest
 
 from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
 from fdo_mlp.fdo import EvaluationError
-from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, decode, encode,
-                         forward_batch, vector_dimension)
+from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
+                         encode, forward_batch, vector_dimension)
 from fdo_mlp.training import (TrainingConfig, _backprop_work, _loss_and_gradient,
                               _mse, _target_matrix, make_objective, mse_fitness,
                               mse_gradient, run_statistics, train_bp_mlp,
@@ -178,6 +178,24 @@ class TestMakeObjective:
                     assert values.tolist() == [
                         mse_fitness(decode(row, topology), data, flag) for row in rows]
 
+    @pytest.mark.parametrize("hidden", [1, 2, 3, 4, 9, 17, 36, 37, 64])
+    def test_bits_match_mse_fitness_across_widths(self, hidden):
+        """At widths where the joined hidden product rounds otherwise than
+        x @ W + b_h, the objective's stacked pass still gives mse_fitness of
+        each decoded row bit for bit, and of the same params joined per
+        pass: both take the one forward body."""
+        rng = np.random.default_rng(60 + hidden)
+        for _ in range(3):
+            topology = MlpTopology(int(rng.integers(1, 21)), hidden, int(rng.integers(1, 4)))
+            data = random_dataset(rng, int(rng.integers(2, 60)), topology.inputs)
+            rows = rng.uniform(-5, 5, (int(rng.integers(1, 12)), vector_dimension(topology)))
+            for flag in (False, True):
+                values = make_objective(topology, data, flag)(rows).tolist()
+                decoded = [decode(row, topology) for row in rows]
+                joined = [MlpParams(*(a.copy() for a in param_arrays(p))) for p in decoded]
+                assert values == [mse_fitness(p, data, flag) for p in decoded]
+                assert values == [mse_fitness(p, data, flag) for p in joined]
+
     def test_one_forward_pass_and_no_target_rebuild_per_call(self, monkeypatch):
         """One pass of the forward body per chunk of rows, and the targets
         are never rebuilt."""
@@ -288,18 +306,27 @@ class TestTrainFdoMlp:
                                    sigmoid_output=config.sigmoid_output) == 1.0
 
 
+def param_arrays(params):
+    return (params.input_hidden_weights, params.hidden_biases,
+            params.hidden_output_weights, params.output_biases)
+
+
 def allocating_loss_and_gradient(params, x, targets, sigmoid_output):
     """Reference: the loss-and-gradient expression of the backprop epoch
-    before it computed in reused arrays, and its hidden-layer delta."""
-    hidden, out = _forward_pass(params, x, sigmoid_output)
+    before it computed in reused arrays, and its hidden-layer delta. The W
+    and b_h gradient rows are one product [x | 1]ᵀ @ d_hidden, as in the
+    pass, since BLAS does not round it like x.T @ d_hidden and the column
+    sums at every shape (n = 1, for one); TestJoinedGradient holds the rows
+    to those within rounding."""
+    hidden, out = _forward_pass(params, _negated_inputs(x), sigmoid_output)
     residuals = out - targets
     loss = float(np.mean(np.sum(residuals ** 2, axis=-1), axis=-1))
     d_out = (2.0 / x.shape[0]) * residuals
     if sigmoid_output:
         d_out = d_out * out * (1.0 - out)
     d_hidden = (d_out @ params.hidden_output_weights.T) * hidden * (1.0 - hidden)
-    return loss, (x.T @ d_hidden, d_hidden.sum(axis=0), hidden.T @ d_out,
-                  d_out.sum(axis=0)), d_hidden
+    joined = np.hstack([x, np.ones((x.shape[0], 1))]).T @ d_hidden
+    return loss, (joined[:-1], joined[-1], hidden.T @ d_out, d_out.sum(axis=0)), d_hidden
 
 
 def allocating_train_bp(data, init, learning_rate, epochs, sigmoid_output):
@@ -336,10 +363,11 @@ class ReplayGenerator:
         return array.copy()
 
 
-def stale_work(rows, hidden):
-    """Work arrays holding values a pass must never read."""
-    work = _backprop_work(rows, hidden)
-    for array in work:
+def stale_work(x, hidden):
+    """Work arrays for the features ``x`` whose hidden-layer arrays hold
+    values a pass must never read."""
+    work = _backprop_work(x, hidden)
+    for array in work[2:]:
         array.fill(math.nan)
     return work
 
@@ -357,12 +385,12 @@ class TestLossAndGradient:
     def assert_matches_reference(self, params, x, targets, flag):
         """Loss, gradients and the hidden-layer delta the pass leaves in its
         last work array, bit for bit."""
-        work = stale_work(x.shape[0], params.hidden_biases.shape[0])
+        work = stale_work(x, params.hidden_biases.shape[0])
         loss, grads = _loss_and_gradient(params, x, targets, flag, work)
         ref_loss, ref_grads, ref_d_hidden = allocating_loss_and_gradient(params, x,
                                                                          targets, flag)
         assert repr(loss) == repr(ref_loss)
-        for got, expected in zip((*grads, work[-1]), (*ref_grads, ref_d_hidden)):
+        for got, expected in zip((*param_arrays(grads), work[-1]), (*ref_grads, ref_d_hidden)):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
         return grads
@@ -412,6 +440,29 @@ class TestLossAndGradient:
             mse_gradient(params, empty)
         with pytest.raises(ValueError, match="3 features but the network expects 1"):
             mse_gradient(params, wide)
+
+
+class TestJoinedGradient:
+    @pytest.mark.parametrize("hidden", [9, 37])
+    def test_rows_match_textbook_within_rounding(self, hidden):
+        """The gradient's W and b_h rows, one product [x | 1]ᵀ @ d_hidden,
+        lie within rounding of x.T @ d_hidden and of the column sums
+        np.add.reduce(d_hidden, axis=0): each side is within rows * eps *
+        sum |terms| of the exact sum."""
+        rng = np.random.default_rng(70 + hidden)
+        data = random_dataset(rng, 230, 18)
+        x, targets = data.features, _target_matrix(data.labels, 1)
+        eps = np.finfo(float).eps
+        for flag in (False, True):
+            params = random_params(rng, MlpTopology(18, hidden, 1), scale=3.0)
+            work = _backprop_work(x, hidden)
+            grads = _loss_and_gradient(params, x, targets, flag, work)[1]
+            d_hidden = work[-1]
+            for got, textbook, terms in (
+                    (grads.input_hidden_weights, x.T @ d_hidden, np.abs(x).T @ np.abs(d_hidden)),
+                    (grads.hidden_biases, np.add.reduce(d_hidden, axis=0),
+                     np.add.reduce(np.abs(d_hidden), axis=0))):
+                assert (np.abs(got - textbook) <= 2 * x.shape[0] * eps * terms).all()
 
 
 class TestTrainBpMlp:
