@@ -3,14 +3,16 @@
 The network computes ``O = V^T sigmoid(W^T x + b_h) + b_o`` with sigmoid
 hidden units and a linear output layer (an optional sigmoid on the output is
 available for experimentation). The hidden layer is one matrix product,
-t = -[x | 1] @ [W; b_h], and three passes, 1 / (1 + exp(t)). All parameters live in one flat vector so a
-black-box optimizer can search over them directly. The canonical layout
-interleaves each hidden unit's incoming weights with its bias, then each
-output unit's incoming weights with its bias:
+t = -[x | 1] @ [W; b_h], and three passes, 1 / (1 + exp(t)). All parameters
+live in one flat vector so a black-box optimizer can search over them
+directly. The canonical layout interleaves each hidden unit's incoming
+weights with its bias, then each output unit's incoming weights with its
+bias:
 
     [w_1..w_n b | ... m blocks ... | v_1..v_m b | ... o blocks ...]
 
-which makes the total length (n+1)*m + (m+1)*o.
+which makes the total length (n+1)*m + (m+1)*o. Each layer's part is the
+transpose of its block in :class:`MlpParams`.
 """
 
 from __future__ import annotations
@@ -37,46 +39,49 @@ class MlpTopology:
 
 @dataclass(eq=False, frozen=True)
 class MlpParams:
-    """Structured view of one parameter vector.
+    """One network's weights and biases as its two layer blocks, each with
+    the weight rows above the bias row: ``hidden_block`` [W; b_h] of shape
+    (n + 1, m) and ``output_block`` [V; b_o] of shape (m + 1, o). Params
+    decoded from a ``(c, d)`` stack of vectors carry a leading axis of
+    length c on both.
 
-    Shapes: input_hidden_weights (n, m), hidden_biases (m,),
-    hidden_output_weights (m, o), output_biases (o,). Params decoded from a
-    ``(c, d)`` stack of vectors carry a leading axis of length c on each.
-
-    Params from :func:`decode` and the backprop trainer hold [W; b_h] as one
-    ``(n + 1, m)`` block that the first two arrays view, for the forward pass
-    to multiply as it is; other params have the two joined per pass.
+    ``input_hidden_weights`` (n, m), ``hidden_biases`` (m,),
+    ``hidden_output_weights`` (m, o) and ``output_biases`` (o,) are views of
+    the blocks, made once here: a write through one reaches its block.
     """
 
-    input_hidden_weights: np.ndarray
-    hidden_biases: np.ndarray
-    hidden_output_weights: np.ndarray
-    output_biases: np.ndarray
-    _hidden_block: np.ndarray | None = field(default=None, init=False, repr=False)
+    hidden_block: np.ndarray
+    output_block: np.ndarray
+    input_hidden_weights: np.ndarray = field(init=False, repr=False)
+    hidden_biases: np.ndarray = field(init=False, repr=False)
+    hidden_output_weights: np.ndarray = field(init=False, repr=False)
+    output_biases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        *stack, n, m = self.input_hidden_weights.shape
-        *stack_out, m2, o = self.hidden_output_weights.shape
-        if (stack_out != stack or m2 != m or self.hidden_biases.shape != (*stack, m)
-                or self.output_biases.shape != (*stack, o)):
-            raise ValueError("parameter shapes are inconsistent")
-
-    @classmethod
-    def _with_hidden_block(cls, block: np.ndarray, *output_layer: np.ndarray) -> "MlpParams":
-        params = cls(block[..., :-1, :], block[..., -1, :], *output_layer)
-        object.__setattr__(params, "_hidden_block", block)
-        return params
-
-    def _joined_hidden(self) -> np.ndarray:
-        """[W; b_h]: the held block, else the two joined into a new one."""
-        if self._hidden_block is not None:
-            return self._hidden_block
-        return np.concatenate([self.input_hidden_weights, self.hidden_biases[..., None, :]], -2)
+        *stack, n1, m = self.hidden_block.shape
+        *stack_out, m1, o = self.output_block.shape
+        if stack_out != stack or m1 != m + 1 or min(n1 - 1, m, o) < 1:
+            raise ValueError("parameter shapes are inconsistent: blocks of shape "
+                             f"{self.hidden_block.shape} and {self.output_block.shape}")
+        for name, view in (("input_hidden_weights", self.hidden_block[..., :-1, :]),
+                           ("hidden_biases", self.hidden_block[..., -1, :]),
+                           ("hidden_output_weights", self.output_block[..., :-1, :]),
+                           ("output_biases", self.output_block[..., -1, :])):
+            object.__setattr__(self, name, view)
 
     @property
     def topology(self) -> MlpTopology:
-        n, m = self.input_hidden_weights.shape[-2:]
-        return MlpTopology(n, m, self.hidden_output_weights.shape[-1])
+        n1, m = self.hidden_block.shape[-2:]
+        return MlpTopology(n1 - 1, m, self.output_block.shape[-1])
+
+
+def _one_network(params: MlpParams) -> MlpTopology:
+    """The topology of ``params``, which must not be a stack: the one check
+    of every entry point that takes a single network."""
+    if params.hidden_block.ndim != 2:
+        raise ValueError("expected the params of one network, got a stack: "
+                         f"hidden block of shape {params.hidden_block.shape}")
+    return params.topology
 
 
 def vector_dimension(topology: MlpTopology) -> int:
@@ -96,11 +101,10 @@ def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
     """Unpack a flat vector into structured weights and biases; a ``(c, d)``
     stack of vectors gives params with a leading axis of length c.
 
-    The result owns C-ordered copies: each layer's block is copied once,
-    transposed to (fan-in + 1, units), and split into its weight rows and
-    its bias row; the hidden block is also held whole. Later writes to
-    ``flat`` do not reach the result, and both matrix products read
-    contiguous weights (per slice, for a stack).
+    Each layer's part of ``flat`` is copied once, transposed, into a
+    C-ordered (fan-in + 1, units) block, so later writes to ``flat`` do not
+    reach the result and both matrix products read contiguous weights (per
+    slice, for a stack).
     """
     flat = np.asarray(flat, dtype=float)
     expected = vector_dimension(topology)
@@ -117,17 +121,13 @@ def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
         flat[..., :(n + 1) * m].reshape(*stack, m, n + 1), -1, -2).copy()
     output_block = np.swapaxes(
         flat[..., (n + 1) * m:].reshape(*stack, o, m + 1), -1, -2).copy()
-    return MlpParams._with_hidden_block(hidden_block, output_block[..., :m, :],
-                                        output_block[..., m, :])
+    return MlpParams(hidden_block, output_block)
 
 
 def encode(params: MlpParams) -> np.ndarray:
-    """Pack structured parameters back into the canonical flat vector."""
-    hidden_block = np.hstack([params.input_hidden_weights.T,
-                              params.hidden_biases[:, None]])
-    output_block = np.hstack([params.hidden_output_weights.T,
-                              params.output_biases[:, None]])
-    return np.concatenate([hidden_block.ravel(), output_block.ravel()])
+    """Pack one network's parameters back into the canonical flat vector."""
+    _one_network(params)
+    return np.concatenate([params.hidden_block.T, params.output_block.T], axis=None)
 
 
 def _logistic_of_negated(t, out=None):
@@ -164,16 +164,16 @@ def _forward_pass(params: MlpParams, inputs: np.ndarray, sigmoid_output: bool,
     """Hidden activations and network outputs: the one forward body.
 
     ``inputs`` is :func:`_negated_inputs` of the features. The hidden layer
-    is t = -[x | 1] @ [W; b_h], with the bits of -(x @ W + b_h) wherever BLAS
-    rounds the joined product like the split one, then 1 / (1 + exp(t)) in
-    place. Stacked params (a leading axis of length c) give ``(c, samples,
-    units)`` arrays, one product per slice. ``work``, shaped like the hidden
-    layer, holds t and is returned as the activations.
+    is t = -[x | 1] @ ``params.hidden_block``, with the bits of -(x @ W + b_h)
+    wherever BLAS rounds the joined product like the split one, then
+    1 / (1 + exp(t)) in place. Stacked params (a leading axis of length c)
+    give ``(c, samples, units)`` arrays, one product per slice. ``work``,
+    shaped like the hidden layer, holds t and is returned as the activations.
     """
     output_biases = params.output_biases
     if params.hidden_output_weights.ndim == 3:
         output_biases = output_biases[:, None]
-    t = np.matmul(inputs, params._joined_hidden(), out=work)
+    t = np.matmul(inputs, params.hidden_block, out=work)
     hidden = _logistic_of_negated(t, t)
     out = hidden @ params.hidden_output_weights
     out += output_biases
@@ -183,7 +183,7 @@ def _forward_pass(params: MlpParams, inputs: np.ndarray, sigmoid_output: bool,
 def forward(params: MlpParams, inputs, sigmoid_output: bool = False) -> np.ndarray:
     """Network output for one input vector of length ``inputs``."""
     x = np.asarray(inputs, dtype=float)
-    n = params.input_hidden_weights.shape[0]
+    n = _one_network(params).inputs
     if x.shape != (n,):
         raise ValueError(f"input has shape {x.shape}, expected ({n},)")
     return _forward_pass(params, _negated_inputs(x), sigmoid_output)[1]
@@ -193,7 +193,7 @@ def forward_batch(params: MlpParams, inputs: np.ndarray,
                   sigmoid_output: bool = False) -> np.ndarray:
     """Network outputs for a (samples, inputs) matrix, one row per sample."""
     x = np.asarray(inputs, dtype=float)
-    n = params.input_hidden_weights.shape[0]
+    n = _one_network(params).inputs
     if x.ndim != 2 or x.shape[1] != n:
         raise ValueError(f"input matrix has shape {x.shape}, expected (*, {n})")
     return _forward_pass(params, _negated_inputs(x), sigmoid_output)[1]

@@ -19,8 +19,8 @@ import numpy as np
 from .data import LabeledDataset
 from .fdo import (DEFAULT_SEED, ConvergenceCurve, EvaluationError, FdoConfig,
                   optimize, uniform_bounds)
-from .mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
-                  forward_batch, vector_dimension)
+from .mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, _one_network,
+                  decode, forward_batch, vector_dimension)
 from .mlp import sigmoid  # noqa: F401  unused, but perfbench/tracing.py patches it
 
 #: Bytes of hidden-layer matrix one objective call evaluates at a time. A
@@ -177,14 +177,12 @@ def train_fdo_mlp(train_data: LabeledDataset, config: TrainingConfig,
 
 
 def _flat_params(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
-    """Params viewing consecutive blocks of ``flat``: [W; b_h] as one
-    (n + 1, m) block, then V and b_o. Backprop keeps its parameters, their
-    gradient and its best parameters in this layout."""
+    """Params whose two blocks view ``flat``: [W; b_h] in its first
+    (n + 1) * m values, [V; b_o] in the rest. Backprop keeps its parameters,
+    their gradient and its best parameters in this layout."""
     n, m, o = topology.inputs, topology.hidden, topology.outputs
     i = (n + 1) * m
-    j = i + m * o
-    return MlpParams._with_hidden_block(flat[:i].reshape(n + 1, m),
-                                        flat[i:j].reshape(m, o), flat[j:])
+    return MlpParams(flat[:i].reshape(n + 1, m), flat[i:].reshape(m + 1, o))
 
 
 def _backprop_work(x: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
@@ -206,7 +204,7 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     ones. Every hidden-layer-sized value is computed in ``work``, from
     :func:`_backprop_work` on ``x``, so a call given ``grads`` allocates only
     arrays of the size of the output layer. The W and b_h rows are one
-    product, [x | 1]ᵀ @ d_hidden, into the held [W; b_h] block of ``grads``.
+    product, [x | 1]ᵀ @ d_hidden, into the hidden block of ``grads``.
 
     With one output unit, ``d_out @ V.T`` is an elementwise outer product.
     Where a zero of ``d_out`` meets a negative weight, the product is -0 and
@@ -233,7 +231,7 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     d_hidden *= np.subtract(1.0, hidden, out=spare)
     if grads is None:
         grads = _flat_params(np.empty(vector_dimension(params.topology)), params.topology)
-    np.matmul(inputs_t, d_hidden, out=grads._hidden_block)
+    np.matmul(inputs_t, d_hidden, out=grads.hidden_block)
     np.matmul(hidden.T, d_out, out=grads.hidden_output_weights)
     np.add.reduce(d_out, axis=0, out=grads.output_biases)
     return loss, grads
@@ -243,7 +241,7 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
                  sigmoid_output: bool = False) -> MlpParams:
     """Analytic gradient of :func:`mse_fitness`, arranged like the params;
     the gradient half of the loss-and-gradient pass backprop trains with."""
-    topology = params.topology
+    topology = _one_network(params)
     _check_dataset(topology, data)
     targets = _target_matrix(data.labels, topology.outputs)
     work = _backprop_work(data.features, topology.hidden)

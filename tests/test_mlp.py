@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fdo_mlp.data import write_text_atomic
+from fdo_mlp.data import LabeledDataset, write_text_atomic
+from fdo_mlp.evaluation import classification_rate, score
 from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
                          encode, forward, forward_batch, hidden_size_rule,
                          output_labels, params_from_text, params_to_text, sigmoid,
                          vector_dimension)
+from fdo_mlp.training import mse_fitness, mse_gradient
 
 
 def read_params(path):
@@ -18,12 +20,17 @@ def read_params(path):
     return params_from_text(path.read_text(encoding="utf-8"), source=str(path))
 
 
+def layered_params(weights, biases, weights_out, biases_out):
+    """One network's params from its four arrays W, b_h, V and b_o."""
+    return MlpParams(np.vstack([weights, biases]), np.vstack([weights_out, biases_out]))
+
+
 def random_params(rng, topology, scale=1.0):
     n, m, o = topology.inputs, topology.hidden, topology.outputs
-    return MlpParams(rng.uniform(-scale, scale, (n, m)),
-                     rng.uniform(-scale, scale, m),
-                     rng.uniform(-scale, scale, (m, o)),
-                     rng.uniform(-scale, scale, o))
+    return layered_params(rng.uniform(-scale, scale, (n, m)),
+                          rng.uniform(-scale, scale, m),
+                          rng.uniform(-scale, scale, (m, o)),
+                          rng.uniform(-scale, scale, o))
 
 
 def reference_forward(params, x, sigmoid_output=False):
@@ -98,9 +105,16 @@ class TestCodec:
         assert stacked.topology == topology
         for i, row in enumerate(stack):
             np.testing.assert_array_equal(
-                encode(MlpParams(stacked.input_hidden_weights[i], stacked.hidden_biases[i],
-                                 stacked.hidden_output_weights[i],
-                                 stacked.output_biases[i])), row)
+                encode(MlpParams(stacked.hidden_block[i], stacked.output_block[i])), row)
+
+    def test_encode_rejects_a_stack(self):
+        """A stack has no one flat vector: encoding it, or writing it as a
+        model file, is refused with its shape."""
+        topology = MlpTopology(3, 2, 2)
+        stacked = decode(np.zeros((2, vector_dimension(topology))), topology)
+        for write in (encode, params_to_text):
+            with pytest.raises(ValueError, match=r"a stack: hidden block of shape \(2, 4, 2\)"):
+                write(stacked)
 
     def test_roundtrip_from_params(self):
         rng = np.random.default_rng(12)
@@ -132,22 +146,38 @@ class TestCodec:
             assert params.hidden_output_weights.flags.c_contiguous
 
     def test_hidden_block_is_held_not_copied(self):
-        """Decoded params hold [W; b_h] as the one block their first two
-        arrays view, single or stacked, and cannot be rebound to others."""
+        """Decoded params, single or stacked, are their two blocks: the four
+        arrays view them, none shares memory with the flat vector, and
+        nothing can be rebound."""
         rng = np.random.default_rng(16)
         topology = MlpTopology(4, 6, 2)
         for flat in (rng.normal(size=vector_dimension(topology)),
                      rng.normal(size=(3, vector_dimension(topology)))):
             params = decode(flat, topology)
-            block = params._joined_hidden()
-            assert block is params._joined_hidden()
-            assert block.shape == (*flat.shape[:-1], 5, 6)
-            assert np.shares_memory(block, params.input_hidden_weights)
-            assert np.shares_memory(block, params.hidden_biases)
-            np.testing.assert_array_equal(block[..., :4, :], params.input_hidden_weights)
-            np.testing.assert_array_equal(block[..., 4, :], params.hidden_biases)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                params.hidden_biases = np.zeros(6)
+            stack = flat.shape[:-1]
+            assert params.hidden_block.shape == (*stack, 5, 6)
+            assert params.output_block.shape == (*stack, 7, 2)
+            views = ((params.hidden_block, params.input_hidden_weights, params.hidden_biases),
+                     (params.output_block, params.hidden_output_weights,
+                      params.output_biases))
+            for block, weights, biases in views:
+                assert not np.shares_memory(block, flat)
+                assert np.shares_memory(block, weights) and np.shares_memory(block, biases)
+                np.testing.assert_array_equal(block[..., :-1, :], weights)
+                np.testing.assert_array_equal(block[..., -1, :], biases)
+            for name in ("hidden_block", "hidden_biases"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(params, name, np.zeros(6))
+
+    @pytest.mark.parametrize("hidden_shape, output_shape", [
+        ((2, 4, 3), (3, 4, 1)),  # stacks of 2 and of 3
+        ((4, 3), (2, 4, 1)),     # one network, one stack
+        ((4, 3), (3, 1)),        # an output block of m rows, not m + 1
+        ((1, 3), (4, 1)),        # a hidden block of one row: n = 0
+    ])
+    def test_inconsistent_blocks_are_rejected(self, hidden_shape, output_shape):
+        with pytest.raises(ValueError, match="parameter shapes are inconsistent"):
+            MlpParams(np.zeros(hidden_shape), np.zeros(output_shape))
 
     def test_zero_params_encode(self):
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
@@ -243,7 +273,7 @@ class TestForward:
         sigmoid(x @ W + b_h) within the rounding of the two dot products: at
         most (n + 1) eps (|x| @ |W| + |b_h|) apart before the sigmoid, whose
         slope is at most 1/4, plus 4 ulp of the result. Stacked params,
-        decoded ones and ones joined per pass alike."""
+        decoded ones and ones built from four arrays alike."""
         rng = np.random.default_rng(40 + hidden)
         eps = np.finfo(float).eps
         for _ in range(4):
@@ -274,6 +304,23 @@ class TestForward:
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
         with pytest.raises(ValueError):
             forward(params, [1.0, 2.0])
+
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_one_network_entry_points_reject_a_stack(self, rows):
+        """Stacked params are refused by every entry point that runs one
+        network, with the stack's shape, also when its length equals n."""
+        topology = MlpTopology(3, 4, 1)
+        params = decode(np.zeros((rows, vector_dimension(topology))), topology)
+        data = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b", "c"))
+        calls = (lambda: forward(params, np.zeros(3)),
+                 lambda: forward_batch(params, data.features),
+                 lambda: mse_fitness(params, data), lambda: mse_gradient(params, data),
+                 lambda: score(params, data, 0.5, False),
+                 lambda: classification_rate(params, data))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"one network, got a stack: hidden "
+                                                 rf"block of shape \({rows}, 4, 4\)"):
+                call()
 
 
 class TestPredict:

@@ -13,6 +13,7 @@ from fdo_mlp.training import (TrainingConfig, _backprop_work, _loss_and_gradient
                               _mse, _target_matrix, make_objective, mse_fitness,
                               mse_gradient, run_statistics, train_bp_mlp,
                               train_fdo_mlp)
+from test_mlp import layered_params
 
 XOR = LabeledDataset(
     features=np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
@@ -182,8 +183,8 @@ class TestMakeObjective:
     def test_bits_match_mse_fitness_across_widths(self, hidden):
         """At widths where the joined hidden product rounds otherwise than
         x @ W + b_h, the objective's stacked pass still gives mse_fitness of
-        each decoded row bit for bit, and of the same params joined per
-        pass: both take the one forward body."""
+        each decoded row bit for bit, and of params built from copies of
+        their blocks: both take the one forward body."""
         rng = np.random.default_rng(60 + hidden)
         for _ in range(3):
             topology = MlpTopology(int(rng.integers(1, 21)), hidden, int(rng.integers(1, 4)))
@@ -192,9 +193,10 @@ class TestMakeObjective:
             for flag in (False, True):
                 values = make_objective(topology, data, flag)(rows).tolist()
                 decoded = [decode(row, topology) for row in rows]
-                joined = [MlpParams(*(a.copy() for a in param_arrays(p))) for p in decoded]
+                copied = [MlpParams(p.hidden_block.copy(), p.output_block.copy())
+                          for p in decoded]
                 assert values == [mse_fitness(p, data, flag) for p in decoded]
-                assert values == [mse_fitness(p, data, flag) for p in joined]
+                assert values == [mse_fitness(p, data, flag) for p in copied]
 
     def test_one_forward_pass_and_no_target_rebuild_per_call(self, monkeypatch):
         """One pass of the forward body per chunk of rows, and the targets
@@ -337,17 +339,17 @@ def allocating_train_bp(data, init, learning_rate, epochs, sigmoid_output):
     weights = tuple(np.array(w, dtype=float) for w in init)
     targets = _target_matrix(data.labels, weights[3].shape[0])
     best = weights
-    best_loss, grads, _ = allocating_loss_and_gradient(MlpParams(*weights), data.features,
+    best_loss, grads, _ = allocating_loss_and_gradient(layered_params(*weights), data.features,
                                                        targets, sigmoid_output)
     values = []
     for _ in range(epochs):
         weights = tuple(w - learning_rate * g for w, g in zip(weights, grads))
-        loss, grads, _ = allocating_loss_and_gradient(MlpParams(*weights), data.features,
+        loss, grads, _ = allocating_loss_and_gradient(layered_params(*weights), data.features,
                                                       targets, sigmoid_output)
         if loss < best_loss:
             best, best_loss = weights, loss
         values.append(best_loss)
-    return MlpParams(*best), best_loss, values
+    return layered_params(*best), best_loss, values
 
 
 class ReplayGenerator:
@@ -377,8 +379,8 @@ def constant_hidden_params(inputs, output_bias):
     on every row; output weights with negative entries whose products with
     0.5 and their sum are exact, so the raw output is exactly 0 for
     ``output_bias`` 0.625."""
-    return MlpParams(np.zeros((inputs, 3)), np.zeros(3),
-                     np.array([[-1.5], [0.5], [-0.25]]), np.array([output_bias]))
+    return layered_params(np.zeros((inputs, 3)), np.zeros(3),
+                          np.array([[-1.5], [0.5], [-0.25]]), np.array([output_bias]))
 
 
 class TestLossAndGradient:
@@ -430,7 +432,7 @@ class TestLossAndGradient:
         for flag in (False, True):
             grad = mse_gradient(params, data, flag)
             expected = allocating_loss_and_gradient(params, data.features, targets, flag)[1]
-            assert encode(grad).tobytes() == encode(MlpParams(*expected)).tobytes()
+            assert encode(grad).tobytes() == encode(layered_params(*expected)).tobytes()
 
     def test_mse_gradient_rejects_what_mse_fitness_rejects(self):
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
