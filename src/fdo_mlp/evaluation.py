@@ -306,8 +306,9 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
 
 # The most threads FDO folds train on. Only 2, on 2 CPUs, has been measured
 # (the crossval-fdo benchmark's wall time went to 0.75x at seed 0 and 0.86x
-# at seed 1009); each further thread would add another fold's ~1.8 MB of work
-# arrays at an unmeasured gain.
+# at seed 1009, against one thread); a pair of folds now takes about 1.1x
+# one fold alone (see _fold_threads). Each further thread would add another
+# fold's ~1.8 MB of work arrays at an unmeasured gain.
 _FOLD_THREADS = 2
 
 
@@ -316,13 +317,18 @@ def _fold_threads(train: Trainer | None) -> int:
     usable CPU, for FDO, and the calling thread alone for a caller's
     trainer.
 
-    An FDO objective call runs a (7, 230, 37) stack, whose numpy calls are
-    long enough to overlap across threads. Backprop, the trainer the CLI
-    passes, stays in one thread: each of an epoch's numpy calls takes
-    ~10 us on the 230 x 37 hidden layer, shorter than the GIL handoffs, and
-    on 2 threads the crossval-bp benchmark's wall time rose from 157-162 to
-    182-185 reference units. The fold count is no bound here: a run that
-    trains any fold trains at least 2.
+    Two FDO folds share one interpreter lock, which each numpy call
+    releases and takes back, so a pair of folds pays for the objective's
+    call count. With one forward pass per objective call (5 numpy calls per
+    7-scout chunk plus about 9 per call), two 230-row folds trained at once
+    take 1.08-1.10x the time of one fold alone; at 15 calls per chunk they
+    took 1.46-1.51x (in process, one BLAS thread, medians of 16 alternating
+    runs on 2 CPUs). Backprop, the trainer the CLI passes, stays in one
+    thread: each of an epoch's numpy calls takes ~10 us on the 230 x 37
+    hidden layer, shorter than the GIL handoffs, and on 2 threads the
+    crossval-bp benchmark's wall time rose from 157-162 to 182-185
+    reference units. The fold count is no bound here: a run that trains any
+    fold trains at least 2.
     """
     if train is not None:
         return 1

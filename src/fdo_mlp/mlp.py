@@ -3,11 +3,13 @@
 The network computes ``O = V^T sigmoid(W^T x + b_h) + b_o`` with sigmoid
 hidden units and a linear output layer (an optional sigmoid on the output is
 available for experimentation). The hidden layer is one matrix product,
-t = -[x | 1] @ [W; b_h], and three passes, 1 / (1 + exp(t)). All parameters
-live in one flat vector so a black-box optimizer can search over them
-directly. The canonical layout interleaves each hidden unit's incoming
-weights with its bias, then each output unit's incoming weights with its
-bias:
+t = -[x | 1] @ [W; b_h], and three passes, 1 / (1 + exp(t)). A stack of
+networks runs through the hidden layer a few at a time, in one work array,
+with the output bias and any output sigmoid applied once to the whole
+stack's outputs. All parameters live in one flat vector so a black-box
+optimizer can search over them directly. The canonical layout interleaves
+each hidden unit's incoming weights with its bias, then each output unit's
+incoming weights with its bias:
 
     [w_1..w_n b | ... m blocks ... | v_1..v_m b | ... o blocks ...]
 
@@ -132,25 +134,26 @@ def encode(params: MlpParams) -> np.ndarray:
 
 def _logistic_of_negated(t, out=None):
     """1 / (1 + exp(t)), the logistic function of s = -t, in three passes.
-    Below s = -709.78 exp(t) overflows and the result is 0, without a
-    warning; the exact value there is under 2.3e-308. NaN stays NaN. Given
-    ``out``, which may be ``t`` itself, nothing is allocated and ``t`` is
-    spent: it holds exp(t) and then 1 + exp(t)."""
+    Below s = -709.78 exp(t) overflows and the result is 0; the exact value
+    there is under 2.3e-308. The caller silences that overflow's warning
+    with ``np.errstate(over="ignore")``. NaN stays NaN. Given ``out``, which
+    may be ``t`` itself, nothing is allocated and ``t`` is spent: it holds
+    exp(t) and then 1 + exp(t)."""
     scratch = None if out is None else t
-    with np.errstate(over="ignore"):
-        e = np.exp(t, out=scratch)
+    e = np.exp(t, out=scratch)
     return np.divide(1.0, np.add(e, 1.0, out=scratch), out=out)
 
 
 def sigmoid(s, out=None):
     """Logistic function 1 / (1 + exp(-s)), elementwise, with the edge values
-    of :func:`_logistic_of_negated`; scalars give scalars. Given an ``out``
-    array shaped like an array ``s``, the result is written to ``out`` and
-    nothing is allocated: ``s`` then holds -s, exp(-s) and 1 + exp(-s) in
-    turn, so its values are lost.
+    of :func:`_logistic_of_negated` and no overflow warning; scalars give
+    scalars. Given an ``out`` array shaped like an array ``s``, the result
+    is written to ``out`` and nothing is allocated: ``s`` then holds -s,
+    exp(-s) and 1 + exp(-s) in turn, so its values are lost.
     """
     s = np.asarray(s, dtype=float)
-    return _logistic_of_negated(np.negative(s, out=None if out is None else s), out)[()]
+    with np.errstate(over="ignore"):
+        return _logistic_of_negated(np.negative(s, out=None if out is None else s), out)[()]
 
 
 def _negated_inputs(x: np.ndarray) -> np.ndarray:
@@ -166,18 +169,37 @@ def _forward_pass(params: MlpParams, inputs: np.ndarray, sigmoid_output: bool,
     ``inputs`` is :func:`_negated_inputs` of the features. The hidden layer
     is t = -[x | 1] @ ``params.hidden_block``, with the bits of -(x @ W + b_h)
     wherever BLAS rounds the joined product like the split one, then
-    1 / (1 + exp(t)) in place. Stacked params (a leading axis of length c)
-    give ``(c, samples, units)`` arrays, one product per slice. ``work``,
-    shaped like the hidden layer, holds t and is returned as the activations.
+    1 / (1 + exp(t)) in place. Stacked params (a leading axis of length k)
+    give ``(k, samples, units)`` arrays, one product per slice.
+
+    ``work`` holds t and is returned as the activations. For one network it
+    is shaped like the hidden layer. For a stack of k it has c <= k slices,
+    and the hidden layer runs c networks at a time, each chunk's output
+    product written into one ``(k, samples, outputs)`` array; the
+    activations returned are then the last chunk's. Without ``work`` the
+    whole stack is one chunk. The output bias is added, and an output
+    sigmoid run in place, once over the stack, all under one errstate.
     """
+    hidden_block, weights_out = params.hidden_block, params.hidden_output_weights
     output_biases = params.output_biases
-    if params.hidden_output_weights.ndim == 3:
+    if hidden_block.ndim == 3:
         output_biases = output_biases[:, None]
-    t = np.matmul(inputs, params.hidden_block, out=work)
-    hidden = _logistic_of_negated(t, t)
-    out = hidden @ params.hidden_output_weights
-    out += output_biases
-    return hidden, (sigmoid(out) if sigmoid_output else out)
+    with np.errstate(over="ignore"):
+        if work is None or hidden_block.ndim == 2:
+            t = np.matmul(inputs, hidden_block, out=work)
+            hidden = _logistic_of_negated(t, t)
+            out = hidden @ weights_out
+        else:
+            k, c = len(hidden_block), len(work)
+            out = np.empty((k, inputs.shape[0], weights_out.shape[-1]))
+            for start in range(0, k, c):
+                chunk = slice(start, start + c)
+                hidden = work[:min(c, k - start)]
+                np.matmul(inputs, hidden_block[chunk], out=hidden)
+                _logistic_of_negated(hidden, hidden)
+                np.matmul(hidden, weights_out[chunk], out=out[chunk])
+        out += output_biases
+        return hidden, (sigmoid(out, out) if sigmoid_output else out)
 
 
 def forward(params: MlpParams, inputs, sigmoid_output: bool = False) -> np.ndarray:

@@ -140,11 +140,13 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
     a ``(k, d)`` matrix gives ``k`` values, one ``(d,)`` vector a float.
 
     The dataset is checked, its targets and negated inputs built and the
-    hidden layer's work array allocated here, once. A call takes the rows in
-    chunks of ``_CHUNK_BYTES`` worth of hidden layer: one :func:`decode` into
-    stacked weights and one forward pass over the stack per chunk. Each value
-    equals :func:`mse_fitness` of its decoded row bit for bit. Calls share the
-    work array, so one objective must not run in two threads at once.
+    hidden layer's work array of ``_CHUNK_BYTES`` allocated here, once. A
+    call is one :func:`decode` of all the rows into stacked weights, one
+    forward pass over the stack, which runs the hidden layer a work array's
+    worth of rows at a time, and one MSE over the residuals, computed in the
+    outputs. Each value equals :func:`mse_fitness` of its decoded row bit for
+    bit. Calls share the work array, so one objective must not run in two
+    threads at once.
     """
     _check_dataset(topology, data)
     inputs = _negated_inputs(data.features)
@@ -155,13 +157,10 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
     def objective(flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
         rows = np.atleast_2d(flat)
-        values = np.empty(len(rows))
-        for start in range(0, len(rows), chunk):
-            block = rows[start:start + chunk]
-            c = len(block)
-            outputs = _forward_pass(decode(block, topology), inputs, sigmoid_output,
-                                    layer[:c])[1]
-            values[start:start + c] = _mse(outputs - targets)
+        outputs = _forward_pass(decode(rows, topology), inputs, sigmoid_output,
+                                layer[:len(rows)])[1]
+        outputs -= targets
+        values = _mse(outputs)
         return values if flat.ndim == 2 else float(values[0])
 
     return objective

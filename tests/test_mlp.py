@@ -12,7 +12,7 @@ from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs,
                          encode, forward, forward_batch, hidden_size_rule,
                          output_labels, params_from_text, params_to_text, sigmoid,
                          vector_dimension)
-from fdo_mlp.training import mse_fitness, mse_gradient
+from fdo_mlp.training import mse_fitness, mse_gradient, output_mse
 
 
 def read_params(path):
@@ -290,6 +290,31 @@ class TestForward:
                          + 4 * np.spacing(textbook))
                 assert layer.shape == textbook.shape
                 assert (np.abs(layer - textbook) <= bound).all()
+
+    @pytest.mark.parametrize("topology, samples, c", [(MlpTopology(18, 37, 1), 230, 7),
+                                                      (MlpTopology(4, 9, 3), 31, 3)])
+    def test_chunked_stack_matches_whole_stack(self, topology, samples, c):
+        """A stack of k run c at a time in a c-slice ``work`` gives the
+        outputs of one whole-stack pass, bit for bit, and each network's
+        MSE is mse_fitness of its decoded row. The whole-stack pass returns
+        every slice's activations; the chunked one the last chunk's."""
+        rng = np.random.default_rng(samples)
+        x = rng.uniform(0, 1, (samples, topology.inputs))
+        labels = rng.integers(0, 2, samples)
+        data = LabeledDataset(x, labels, tuple(f"c{i}" for i in range(topology.inputs)))
+        inputs = _negated_inputs(x)
+        work = np.empty((c, samples, topology.hidden))
+        for k in (1, c - 1, c, c + 1, 3 * c + 1):
+            rows = rng.uniform(-10, 10, (k, vector_dimension(topology)))
+            for flag in (False, True):
+                hidden, out = _forward_pass(decode(rows, topology), inputs, flag, work[:k])
+                whole_hidden, whole = _forward_pass(decode(rows, topology), inputs, flag)
+                assert out.shape == whole.shape == (k, samples, topology.outputs)
+                assert out.tobytes() == whole.tobytes()
+                assert whole_hidden.shape == (k, samples, topology.hidden)
+                assert hidden.tobytes() == whole_hidden[k - len(hidden):].tobytes()
+                assert [output_mse(o, labels) for o in out] == \
+                    [mse_fitness(decode(row, topology), data, flag) for row in rows]
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(9)

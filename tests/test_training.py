@@ -8,7 +8,7 @@ import pytest
 from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
 from fdo_mlp.fdo import EvaluationError
 from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
-                         encode, forward_batch, vector_dimension)
+                         encode, forward_batch, sigmoid, vector_dimension)
 from fdo_mlp.training import (TrainingConfig, _backprop_work, _loss_and_gradient,
                               _mse, _target_matrix, make_objective, mse_fitness,
                               mse_gradient, run_statistics, train_bp_mlp,
@@ -199,8 +199,9 @@ class TestMakeObjective:
                 assert values == [mse_fitness(p, data, flag) for p in copied]
 
     def test_one_forward_pass_and_no_target_rebuild_per_call(self, monkeypatch):
-        """One pass of the forward body per chunk of rows, and the targets
-        are never rebuilt."""
+        """One decode of all the rows and one pass of the forward body per
+        call, whatever the number of chunks, and the targets are never
+        rebuilt."""
         from fdo_mlp import training
         rng = np.random.default_rng(17)
         objectives = [(make_objective(topology, random_dataset(rng, samples, topology.inputs)),
@@ -208,17 +209,46 @@ class TestMakeObjective:
                       for topology, samples in ((MlpTopology(3, 4, 2), 7),
                                                 (MlpTopology(18, 37, 1), 230))]
         calls = []
-        real_forward, real_targets = training._forward_pass, training._target_matrix
-        monkeypatch.setattr(training, "_forward_pass",
-                            lambda *args: calls.append("forward") or real_forward(*args))
-        monkeypatch.setattr(training, "_target_matrix",
-                            lambda *args: calls.append("targets") or real_targets(*args))
+        for name in ("decode", "_forward_pass", "_target_matrix"):
+            real = getattr(training, name)
+            monkeypatch.setattr(training, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
         for objective, d, c in objectives:
-            for size, passes in ((d, 1), ((1, d), 1), ((c, d), 1), ((c + 1, d), 2),
-                                 ((3 * c, d), 3)):
+            for size in (d, (1, d), (c, d), (c + 1, d), (3 * c, d)):
                 calls.clear()
                 objective(rng.normal(size=size))
-                assert calls == ["forward"] * passes
+                assert calls == ["decode", "_forward_pass"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sigmoids_warn_nowhere(self):
+        """Weights of +-1000 push exp past 709.78 in the hidden and the
+        output sigmoid. The objective over several chunks, forward_batch and
+        sigmoid alone each give finite values, 0 where exp overflows, and no
+        overflow warning."""
+        rng = np.random.default_rng(19)
+        topology, samples = MlpTopology(18, 37, 1), 230
+        data = random_dataset(rng, samples, topology.inputs)
+        rows = rng.choice([-1000.0, 1000.0], (2 * chunk_size(topology, samples) + 1,
+                                              vector_dimension(topology)))
+        rows[::2, -(topology.hidden + 1):] = -1000.0  # the output layer's [V; b_o]
+        for flag in (False, True):
+            values = make_objective(topology, data, flag)(rows)
+            assert np.isfinite(values).all()
+            assert values.tolist() == [mse_fitness(decode(row, topology), data, flag)
+                                       for row in rows]
+        params = decode(rows[0], topology)
+        with np.errstate(over="ignore"):
+            s = data.features @ params.input_hidden_weights + params.hidden_biases
+            hidden = 1 / (1 + np.exp(-s))
+            s_out = hidden @ params.hidden_output_weights + params.output_biases
+        assert (s < -709.79).any() and (s_out < -709.79).any()
+        out = forward_batch(params, data.features, sigmoid_output=True)
+        assert np.isfinite(out).all()
+        assert (out[s_out < -709.79] == 0.0).all()
+        assert (_forward_pass(params, _negated_inputs(data.features), False)[0][s < -709.79]
+                == 0.0).all()
+        assert (sigmoid(s) == hidden).all()
+        assert sigmoid(-1000.0) == 0.0
 
     def test_result_does_not_alias_work_arrays(self):
         rng = np.random.default_rng(18)
