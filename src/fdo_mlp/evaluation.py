@@ -14,13 +14,16 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import training
 from .data import LabeledDataset, ScaleOverflowError, min_max_normalize, normalize_with
 from .mlp import MlpParams, forward_batch, output_labels
-from .training import TrainedModel, TrainingConfig, output_mse, train_fdo_mlp
+from .training import (TrainedModel, TrainingConfig, check_bp_settings, output_mse,
+                       train_fdo_mlp)
 from .training import mse_fitness  # noqa: F401  unused, but perfbench/tracing.py patches it
 
 
@@ -236,17 +239,22 @@ Trainer = Callable[[LabeledDataset, TrainingConfig, np.random.Generator], Traine
 
 
 def bp_trainer(learning_rate: float, epochs: int) -> Trainer:
-    """Adapt the backpropagation baseline to the cross-validation interface."""
-    # Imported here, not at module level, so a function patched in at
-    # training.train_bp_mlp (as perfbench does to record models) is the one used.
-    from .training import train_bp_mlp
+    """Adapt the backpropagation baseline to the cross-validation interface.
 
-    def train(train_data: LabeledDataset, config: TrainingConfig,
-              rng: np.random.Generator) -> TrainedModel:
-        return train_bp_mlp(train_data, config.topology, learning_rate, epochs,
-                            rng, sigmoid_output=config.sigmoid_output)
+    The settings are checked here, before any fold is split or trained, and
+    the trainer is a :func:`functools.partial` of a module-level function,
+    so it can be pickled."""
+    check_bp_settings(learning_rate, epochs)
+    return partial(_train_bp, learning_rate, epochs)
 
-    return train
+
+def _train_bp(learning_rate: float, epochs: int, train_data: LabeledDataset,
+              config: TrainingConfig, rng: np.random.Generator) -> TrainedModel:
+    # Looked up on the training module at call time, so a function patched
+    # in at training.train_bp_mlp (as perfbench does to record models) is
+    # the one used.
+    return training.train_bp_mlp(train_data, config.topology, learning_rate, epochs,
+                                 rng, sigmoid_output=config.sigmoid_output)
 
 
 def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
@@ -324,11 +332,11 @@ def _fold_threads(train: Trainer | None) -> int:
     take 1.08-1.10x the time of one fold alone; at 15 calls per chunk they
     took 1.46-1.51x (in process, one BLAS thread, medians of 16 alternating
     runs on 2 CPUs). Backprop, the trainer the CLI passes, stays in one
-    thread: each of an epoch's numpy calls takes ~10 us on the 230 x 37
-    hidden layer, shorter than the GIL handoffs, and on 2 threads the
-    crossval-bp benchmark's wall time rose from 157-162 to 182-185
-    reference units. The fold count is no bound here: a run that trains any
-    fold trains at least 2.
+    thread: an epoch on a 230-row fold is 21 numpy calls taking about 58 us
+    in all, too short to overlap across the GIL handoffs, and 5 linear
+    folds of 2,000 epochs took 0.60 s on one thread against 0.77 s on two
+    (in process, medians of 8 alternating runs). The fold count is no bound
+    here: a run that trains any fold trains at least 2.
     """
     if train is not None:
         return 1

@@ -186,11 +186,13 @@ def _flat_params(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
 
 def _backprop_work(x: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
     """What one :func:`_loss_and_gradient` pass over the features ``x``
-    computes with: -[x | 1] and [x | 1]ᵀ, built here once, then three
-    (rows, hidden) arrays for the activations, a spare and ``d_hidden``."""
+    computes with: -[x | 1] and a C-ordered copy of [x | 1]ᵀ, built here
+    once, an array of [x | 1]ᵀ's shape for its columns scaled by d_out, and
+    two (rows, hidden) arrays, for the activations and their slope."""
     inputs = _negated_inputs(x)
-    return (inputs, np.negative(inputs).T,
-            *(np.empty((x.shape[0], hidden)) for _ in range(3)))
+    inputs_t = np.negative(inputs.T, order="C")
+    return (inputs, inputs_t, np.empty_like(inputs_t),
+            *(np.empty((x.shape[0], hidden)) for _ in range(2)))
 
 
 def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
@@ -202,17 +204,19 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     The gradient comes as params: ``grads``, written in place, or else fresh
     ones. Every hidden-layer-sized value is computed in ``work``, from
     :func:`_backprop_work` on ``x``, so a call given ``grads`` allocates only
-    arrays of the size of the output layer. The W and b_h rows are one
-    product, [x | 1]ᵀ @ d_hidden, into the hidden block of ``grads``.
+    arrays of the size of the output layer.
 
-    With one output unit, ``d_out @ V.T`` is an elementwise outer product.
-    Where a zero of ``d_out`` meets a negative weight, the product is -0 and
-    BLAS's k = 1 matrix product +0; adding 0.0 turns the one into the other
-    and leaves every other value's bits alone. With more output units the
-    product is a sum, whose fused rounding a separate multiply and add would
-    not repeat, so it stays a matrix product.
+    The W and b_h rows are [x | 1]ᵀ @ ((d_out @ Vᵀ) ⊙ h(1 - h)). With one
+    output unit, d_out @ Vᵀ is the outer product of two vectors, whose row
+    and column scalings commute with the matrix product: the rows are
+    ((x₁ᵀ ⊙ d_outᵀ) @ h(1 - h)) ⊙ Vᵀ, with x₁ = [x | 1], and no (rows,
+    hidden) array but the slope h(1 - h) is made; where every d_out is
+    zero, the rows read -0 in the columns of a negative weight. With more
+    output units d_out @ Vᵀ is written over the activations, once the V
+    gradient has read them, and the slope is scaled by it before the one
+    product.
     """
-    inputs, inputs_t, hidden, spare, d_hidden = work
+    inputs, inputs_t, scaled, hidden, slope = work
     hidden, out = _forward_pass(params, inputs, sigmoid_output, hidden)
     residuals = out - targets
     loss = _mse(residuals)
@@ -220,19 +224,20 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     if sigmoid_output:
         d_out *= out
         d_out *= 1.0 - out
-    weights_out = params.hidden_output_weights
-    if weights_out.shape[1] == 1:
-        np.multiply(d_out, weights_out.T, out=d_hidden)
-        d_hidden += 0.0
-    else:
-        np.matmul(d_out, weights_out.T, out=d_hidden)
-    d_hidden *= hidden
-    d_hidden *= np.subtract(1.0, hidden, out=spare)
     if grads is None:
         grads = _flat_params(np.empty(vector_dimension(params.topology)), params.topology)
-    np.matmul(inputs_t, d_hidden, out=grads.hidden_block)
     np.matmul(hidden.T, d_out, out=grads.hidden_output_weights)
     np.add.reduce(d_out, axis=0, out=grads.output_biases)
+    np.subtract(1.0, hidden, out=slope)
+    slope *= hidden
+    weights_out = params.hidden_output_weights
+    if weights_out.shape[1] == 1:
+        np.multiply(inputs_t, d_out.T, out=scaled)
+        block = np.matmul(scaled, slope, out=grads.hidden_block)
+        block *= weights_out.T
+    else:
+        slope *= np.matmul(d_out, weights_out.T, out=hidden)
+        np.matmul(inputs_t, slope, out=grads.hidden_block)
     return loss, grads
 
 
@@ -245,6 +250,14 @@ def mse_gradient(params: MlpParams, data: LabeledDataset,
     targets = _target_matrix(data.labels, topology.outputs)
     work = _backprop_work(data.features, topology.hidden)
     return _loss_and_gradient(params, data.features, targets, sigmoid_output, work)[1]
+
+
+def check_bp_settings(learning_rate: float, epochs: int) -> None:
+    """Reject a negative or NaN learning rate and a negative epoch count."""
+    if not learning_rate >= 0.0:
+        raise ValueError("learning_rate must be non-negative")
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -268,10 +281,7 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     strictly improves. The returned params view a copy of the best vector;
     the hidden layer is computed in work arrays allocated once per run.
     """
-    if learning_rate < 0.0:
-        raise ValueError("learning_rate must be non-negative")
-    if epochs < 0:
-        raise ValueError("epochs must be non-negative")
+    check_bp_settings(learning_rate, epochs)
     _check_dataset(topology, train_data)
     gen = np.random.default_rng(DEFAULT_SEED) if rng is None else rng
     theta = np.empty(vector_dimension(topology))

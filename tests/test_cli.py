@@ -663,6 +663,20 @@ class TestCrossval:
         assert run("crossval", "--data", synth_csv, "--k", 1,
                    "--out-dir", tmp_path) == 1
 
+    def test_negative_epochs_rejected_before_any_fold_is_split(self, synth_csv, tmp_path,
+                                                                capsys, monkeypatch):
+        from fdo_mlp import evaluation
+
+        def no_split(*args):
+            raise AssertionError("folds were split")
+
+        monkeypatch.setattr(evaluation, "kfold_splits", no_split)
+        out = tmp_path / "cv"
+        assert run("crossval", "--data", synth_csv, "--trainer", "bp", "--epochs", -1,
+                   "--out-dir", out) == 1
+        assert capsys.readouterr().err == "error: epochs must be non-negative\n"
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_statistics_ordering(self, tmp_path, capsys):

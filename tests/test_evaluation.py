@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import pickle
 import sys
 import threading
 
@@ -10,13 +11,14 @@ import pytest
 
 from fdo_mlp import evaluation
 from fdo_mlp.cli import _crossval_csvs
-from fdo_mlp.data import LabeledDataset, ScaleOverflowError, generate_synthetic
+from fdo_mlp.data import (LabeledDataset, ScaleOverflowError, generate_synthetic,
+                          min_max_normalize)
 from fdo_mlp.evaluation import (ConfusionMatrix, CrossValReport, FoldReport, auc,
                                 bp_trainer, confusion_matrix, cross_validate,
                                 format_metric, kfold_splits, metrics, truncate_metric,
                                 _fold_threads)
 from fdo_mlp.fdo import ConvergenceCurve
-from fdo_mlp.mlp import MlpTopology, decode
+from fdo_mlp.mlp import MlpTopology, decode, encode
 from fdo_mlp.training import TrainedModel, TrainingConfig
 
 
@@ -267,16 +269,36 @@ class TestCrossValidate:
         assert len(calls) == 2 * 3  # train rate and test score, per fold
 
     def test_bp_trainer_calls_the_function_at_its_module_attribute(self, monkeypatch):
-        """A replacement for training.train_bp_mlp installed before the
+        """A replacement for training.train_bp_mlp installed after the
         trainer is built is the one cross-validation trains with."""
         from fdo_mlp import training
+        trainer = bp_trainer(0.5, 3)
         calls = []
         real = training.train_bp_mlp
         monkeypatch.setattr(training, "train_bp_mlp",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
-        cross_validate(data, 3, tiny_config(2), train=bp_trainer(0.5, 3))
+        cross_validate(data, 3, tiny_config(2), train=trainer)
         assert len(calls) == 3
+
+    def test_bp_trainer_survives_pickling_with_the_same_bits(self):
+        trainer = bp_trainer(0.5, 40)
+        copy = pickle.loads(pickle.dumps(trainer))
+        data = min_max_normalize(generate_synthetic(30, 2, 4.0, 0.5,
+                                                    np.random.default_rng(1)))
+        a = trainer(data, tiny_config(2), np.random.default_rng(5))
+        b = copy(data, tiny_config(2), np.random.default_rng(5))
+        assert encode(a.params).tobytes() == encode(b.params).tobytes()
+        assert repr(a.train_mse) == repr(b.train_mse)
+        assert a.curve.values == b.curve.values
+        assert _fold_threads(copy) == 1
+
+    @pytest.mark.parametrize("learning_rate, epochs, name", [
+        (-0.1, 5, "learning_rate"), (float("nan"), 5, "learning_rate"), (0.5, -1, "epochs")])
+    def test_bp_trainer_rejects_bad_settings_when_built(self, learning_rate, epochs,
+                                                         name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            bp_trainer(learning_rate, epochs)
 
     def test_deterministic(self):
         data = generate_synthetic(30, 2, 5.0, 0.5, np.random.default_rng(3))

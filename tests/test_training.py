@@ -1,6 +1,7 @@
 """Trainer tests: the MSE objective, both trainers, and run statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
 from fdo_mlp.fdo import EvaluationError
 from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
                          encode, forward_batch, sigmoid, vector_dimension)
-from fdo_mlp.training import (TrainingConfig, _backprop_work, _loss_and_gradient,
-                              _mse, _target_matrix, make_objective, mse_fitness,
-                              mse_gradient, run_statistics, train_bp_mlp,
+from fdo_mlp.training import (TrainingConfig, _backprop_work, _flat_params,
+                              _loss_and_gradient, _mse, _target_matrix, make_objective,
+                              mse_fitness, mse_gradient, run_statistics, train_bp_mlp,
                               train_fdo_mlp)
 from test_mlp import layered_params
 
@@ -344,21 +345,27 @@ def param_arrays(params):
 
 
 def allocating_loss_and_gradient(params, x, targets, sigmoid_output):
-    """Reference: the loss-and-gradient expression of the backprop epoch
-    before it computed in reused arrays, and its hidden-layer delta. The W
-    and b_h gradient rows are one product [x | 1]ᵀ @ d_hidden, as in the
-    pass, since BLAS does not round it like x.T @ d_hidden and the column
-    sums at every shape (n = 1, for one); TestJoinedGradient holds the rows
-    to those within rounding."""
+    """Reference: the loss-and-gradient expression of the backprop epoch,
+    with fresh arrays for every step. The W and b_h gradient rows are, with
+    one output unit, ((x₁ᵀ ⊙ d_outᵀ) @ h(1 - h)) ⊙ Vᵀ for x₁ = [x | 1], and
+    with more, x₁ᵀ @ (h(1 - h) ⊙ (d_out @ Vᵀ)), each product taken with x₁ᵀ
+    in C order, as in the pass, since BLAS rounds it differently from the
+    transposed view of x₁ at some shapes; TestJoinedGradient holds the rows
+    to the textbook x.T @ d_hidden within rounding."""
     hidden, out = _forward_pass(params, _negated_inputs(x), sigmoid_output)
     residuals = out - targets
     loss = float(np.mean(np.sum(residuals ** 2, axis=-1), axis=-1))
     d_out = (2.0 / x.shape[0]) * residuals
     if sigmoid_output:
         d_out = d_out * out * (1.0 - out)
-    d_hidden = (d_out @ params.hidden_output_weights.T) * hidden * (1.0 - hidden)
-    joined = np.hstack([x, np.ones((x.shape[0], 1))]).T @ d_hidden
-    return loss, (joined[:-1], joined[-1], hidden.T @ d_out, d_out.sum(axis=0)), d_hidden
+    slope = hidden * (1.0 - hidden)
+    weights_out = params.hidden_output_weights
+    joined_t = np.ascontiguousarray(np.hstack([x, np.ones((x.shape[0], 1))]).T)
+    if weights_out.shape[1] == 1:
+        joined = ((joined_t * d_out.T) @ slope) * weights_out.T
+    else:
+        joined = joined_t @ (slope * (d_out @ weights_out.T))
+    return loss, (joined[:-1], joined[-1], hidden.T @ d_out, d_out.sum(axis=0))
 
 
 def allocating_train_bp(data, init, learning_rate, epochs, sigmoid_output):
@@ -369,13 +376,13 @@ def allocating_train_bp(data, init, learning_rate, epochs, sigmoid_output):
     weights = tuple(np.array(w, dtype=float) for w in init)
     targets = _target_matrix(data.labels, weights[3].shape[0])
     best = weights
-    best_loss, grads, _ = allocating_loss_and_gradient(layered_params(*weights), data.features,
-                                                       targets, sigmoid_output)
+    best_loss, grads = allocating_loss_and_gradient(layered_params(*weights), data.features,
+                                                    targets, sigmoid_output)
     values = []
     for _ in range(epochs):
         weights = tuple(w - learning_rate * g for w, g in zip(weights, grads))
-        loss, grads, _ = allocating_loss_and_gradient(layered_params(*weights), data.features,
-                                                      targets, sigmoid_output)
+        loss, grads = allocating_loss_and_gradient(layered_params(*weights), data.features,
+                                                   targets, sigmoid_output)
         if loss < best_loss:
             best, best_loss = weights, loss
         values.append(best_loss)
@@ -415,14 +422,12 @@ def constant_hidden_params(inputs, output_bias):
 
 class TestLossAndGradient:
     def assert_matches_reference(self, params, x, targets, flag):
-        """Loss, gradients and the hidden-layer delta the pass leaves in its
-        last work array, bit for bit."""
+        """Loss and gradients, bit for bit."""
         work = stale_work(x, params.hidden_biases.shape[0])
         loss, grads = _loss_and_gradient(params, x, targets, flag, work)
-        ref_loss, ref_grads, ref_d_hidden = allocating_loss_and_gradient(params, x,
-                                                                         targets, flag)
+        ref_loss, ref_grads = allocating_loss_and_gradient(params, x, targets, flag)
         assert repr(loss) == repr(ref_loss)
-        for got, expected in zip((*param_arrays(grads), work[-1]), (*ref_grads, ref_d_hidden)):
+        for got, expected in zip(param_arrays(grads), ref_grads):
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
         return grads
@@ -444,14 +449,41 @@ class TestLossAndGradient:
         ([0, 1, 0, 1, 1], True, 100.0),   # output 1.0: every d_out +0
     ])
     def test_zero_d_out_against_negative_weights(self, labels, flag, output_bias):
-        """Where d_out is exactly zero and V negative, the reference's
-        matrix product d_out @ V.T gives +0 and an elementwise product -0.
-        The -0 would stay inside the hidden-layer delta (both of its
-        reductions start from +0), so the delta is compared too."""
+        """Where every d_out is exactly zero, the product of the d_out-scaled
+        [x | 1]ᵀ with h(1 - h) is +0 and its scaling by V leaves -0 in the
+        W and b_h columns of a negative weight, +0 in the others."""
         x = np.random.default_rng(24).uniform(0, 1, (5, 2))
         targets = _target_matrix(np.array(labels), 1)
         params = constant_hidden_params(2, output_bias)
-        self.assert_matches_reference(params, x, targets, flag)
+        grads = self.assert_matches_reference(params, x, targets, flag)
+        if not grads.output_biases.any():
+            assert not grads.hidden_block.any()
+            negative = np.broadcast_to(params.hidden_output_weights.T < 0, (3, 3))
+            assert (np.signbit(grads.hidden_block) == negative).all()
+
+    @pytest.mark.parametrize("outputs", [1, 2])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_given_grads_allocates_less_than_a_hidden_layer(self, outputs, flag):
+        """A pass given ``grads`` at 230 rows and 18-37-o allocates less than
+        one (rows, hidden) float array, 68,080 bytes, at its peak: no outer
+        product d_out ⊗ V or hidden-layer delta is built outside ``work``."""
+        rng = np.random.default_rng(27)
+        data = random_dataset(rng, 230, 18)
+        topology = MlpTopology(18, 37, outputs)
+        params = random_params(rng, topology)
+        grads = _flat_params(np.empty(vector_dimension(topology)), topology)
+        targets = _target_matrix(data.labels, outputs)
+        work = _backprop_work(data.features, 37)
+        args = (params, data.features, targets, flag, work, grads)
+        _loss_and_gradient(*args)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _loss_and_gradient(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 230 * 37 * 8
 
     def test_mse_gradient_wraps_the_pass(self):
         rng = np.random.default_rng(25)
@@ -477,24 +509,33 @@ class TestLossAndGradient:
 class TestJoinedGradient:
     @pytest.mark.parametrize("hidden", [9, 37])
     def test_rows_match_textbook_within_rounding(self, hidden):
-        """The gradient's W and b_h rows, one product [x | 1]ᵀ @ d_hidden,
-        lie within rounding of x.T @ d_hidden and of the column sums
-        np.add.reduce(d_hidden, axis=0): each side is within rows * eps *
-        sum |terms| of the exact sum."""
+        """The gradient's W and b_h rows, computed without the hidden-layer
+        delta, lie within rounding of the textbook x.T @ d_hidden and column
+        sums np.add.reduce(d_hidden, axis=0), d_hidden = (d_out @ V.T) * h *
+        (1 - h): each side is within rows * eps * sum |terms| of the exact
+        sum."""
         rng = np.random.default_rng(70 + hidden)
         data = random_dataset(rng, 230, 18)
-        x, targets = data.features, _target_matrix(data.labels, 1)
+        x = data.features
         eps = np.finfo(float).eps
-        for flag in (False, True):
-            params = random_params(rng, MlpTopology(18, hidden, 1), scale=3.0)
-            work = _backprop_work(x, hidden)
-            grads = _loss_and_gradient(params, x, targets, flag, work)[1]
-            d_hidden = work[-1]
-            for got, textbook, terms in (
-                    (grads.input_hidden_weights, x.T @ d_hidden, np.abs(x).T @ np.abs(d_hidden)),
-                    (grads.hidden_biases, np.add.reduce(d_hidden, axis=0),
-                     np.add.reduce(np.abs(d_hidden), axis=0))):
-                assert (np.abs(got - textbook) <= 2 * x.shape[0] * eps * terms).all()
+        for outputs in (1, 2):
+            targets = _target_matrix(data.labels, outputs)
+            for flag in (False, True):
+                params = random_params(rng, MlpTopology(18, hidden, outputs), scale=3.0)
+                grads = _loss_and_gradient(params, x, targets, flag,
+                                           _backprop_work(x, hidden))[1]
+                hidden_out, out = _forward_pass(params, _negated_inputs(x), flag)
+                d_out = (2.0 / x.shape[0]) * (out - targets)
+                if flag:
+                    d_out = d_out * out * (1.0 - out)
+                d_hidden = ((d_out @ params.hidden_output_weights.T)
+                            * hidden_out * (1.0 - hidden_out))
+                for got, textbook, terms in (
+                        (grads.input_hidden_weights, x.T @ d_hidden,
+                         np.abs(x).T @ np.abs(d_hidden)),
+                        (grads.hidden_biases, np.add.reduce(d_hidden, axis=0),
+                         np.add.reduce(np.abs(d_hidden), axis=0))):
+                    assert (np.abs(got - textbook) <= 2 * x.shape[0] * eps * terms).all()
 
 
 class TestTrainBpMlp:
