@@ -334,9 +334,13 @@ def _fold_threads(train: Trainer | None) -> int:
     runs on 2 CPUs). Backprop, the trainer the CLI passes, stays in one
     thread: an epoch on a 230-row fold is 21 numpy calls taking about 58 us
     in all, too short to overlap across the GIL handoffs, and 5 linear
-    folds of 2,000 epochs took 0.60 s on one thread against 0.77 s on two
-    (in process, medians of 8 alternating runs). The fold count is no bound
-    here: a run that trains any fold trains at least 2.
+    folds of 2,000 epochs took 0.61 s on one thread against 0.83 s on two
+    (in process, medians of 8 alternating runs). Nor does backprop gain from
+    a pool of one thread, though it spares FDO folds most of the calling
+    thread's page faults: routed through one, the crossval-bp benchmark's
+    wall time was higher in 12 of 14 alternating pairs, in two sets of 7
+    (medians +2.2 % in the second). The fold count is no bound here: a run
+    that trains any fold trains at least 2.
     """
     if train is not None:
         return 1

@@ -206,15 +206,11 @@ def compute_pace(positions: np.ndarray, best_position: np.ndarray,
     (r >= 0) by fw times the distance along that axis.
     """
     toward = (0.0 < fw) & (fw < 1.0)
-    # The signed factor is -fw where r < 0 and fw elsewhere, built by
-    # arithmetic: a masked negate branches on every element of a random
-    # mask. diff * -fw has the bits of -(diff * fw), as rounding is
-    # symmetric in sign. Random-rule rows get a zero factor, which keeps
-    # their inf or NaN fw out of the arithmetic; they are overwritten below.
-    factor = (r < 0.0).astype(float)
-    factor *= -2.0
-    factor += 1.0
-    factor *= np.where(toward, fw, 0.0)[:, None]
+    # -fw where r < 0, else fw; + 0.0 reads a -0 draw as r >= 0. Random-rule
+    # rows get a zero factor, keeping their inf or NaN fw out of the
+    # arithmetic; they are overwritten below.
+    factor = r + 0.0
+    np.copysign(np.where(toward, fw, 0.0)[:, None], factor, out=factor)
     pace = positions - best_position
     pace *= factor
     np.multiply(positions, r, out=pace, where=~toward[:, None])
@@ -269,15 +265,27 @@ def initialize_swarm(config: FdoConfig, objective: Objective,
     return swarm
 
 
-def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
-                     rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Phase one: every scout proposes position + pace and keeps it, with
-    its pace, on strict improvement, which reopens its retry. Returns the
-    number of rejected scouts and the indices of those whose retry is open."""
+def step(swarm: Swarm, objective: Objective, config: FdoConfig,
+         rng: np.random.Generator) -> int:
+    """Advance every scout by one move attempt and refresh the global best.
+
+    Per scout: propose position + pace and accept it only on strict
+    improvement, storing the pace for reuse and reopening the scout's retry;
+    on rejection retry the stored pace; on a second rejection, ties
+    included, the scout keeps its state and its retry closes until it next
+    accepts a proposal. Paces use the global best as of the start of the
+    iteration; the global best itself is refreshed only after all scouts
+    have moved, and ties keep the incumbent. A closed retry is not passed
+    to the objective again: its value is known and cannot improve the
+    scout. The swarm is updated in place; returns the number of evaluations
+    FDO's rule makes, one per scout plus one per rejected proposal, known
+    retries included.
+    """
+    lower, upper = config._limits
     fw = fitness_weight(swarm.fitness, swarm.best_fitness, config.weight_factor)
     pace = compute_pace(swarm.positions, swarm.best_position, fw,
                         rng.uniform(-1.0, 1.0, swarm.positions.shape))
-    candidates = _clamp_in_place(swarm.positions + pace, *config._limits)
+    candidates = _clamp_in_place(swarm.positions + pace, lower, upper)
     values = _evaluate_rows(objective, candidates)
     accepted = values < swarm.fitness
     rows = accepted[:, None]
@@ -287,48 +295,21 @@ def _first_proposals(swarm: Swarm, objective: Objective, config: FdoConfig,
     np.copyto(swarm.fitness, values, where=accepted)
     swarm.retry_open |= accepted
     rejected = ~accepted
-    return int(np.count_nonzero(rejected)), (rejected & swarm.retry_open).nonzero()[0]
-
-
-def _retries(swarm: Swarm, objective: Objective, config: FdoConfig,
-             rejected: np.ndarray) -> None:
-    """Phase two: each of the ``rejected`` scouts retries its stored pace
-    and moves on strict improvement; the pace in use is the stored one, so
-    it stays. A scout that moved keeps its retry open; a rejected retry,
-    ties included, closes it until the scout next accepts a proposal."""
-    # take gathers the (P, d) rows with less per-call overhead than indexing;
-    # for the 1-D fitness gather below, indexing is the faster of the two
-    retries = swarm.positions.take(rejected, axis=0)
-    retries += swarm.last_pace.take(rejected, axis=0)
-    _clamp_in_place(retries, *config._limits)
-    values = _evaluate_rows(objective, retries)
-    better = values < swarm.fitness[rejected]
-    swarm.retry_open[rejected] = better
-    moved = rejected[better]
-    swarm.positions[moved] = retries[better]
-    swarm.fitness[moved] = values[better]
-
-
-def step(swarm: Swarm, objective: Objective, config: FdoConfig,
-         rng: np.random.Generator) -> int:
-    """Advance every scout by one move attempt and refresh the global best.
-
-    Per scout: propose position + pace and accept it only on strict
-    improvement, storing the pace for reuse; on rejection retry the stored
-    pace; on a second rejection the scout keeps its state. Paces use the
-    global best as of the start of the iteration; the global best itself is
-    refreshed only after all scouts have moved, and ties keep the incumbent.
-    A retry already evaluated and rejected from the scout's current
-    position with its current pace is not passed to the objective again:
-    its value is known and cannot improve the scout. The swarm is updated
-    in place; returns the number of evaluations FDO's rule makes, one per
-    scout plus one per rejected proposal, known retries included.
-    """
-    rejected, open_retries = _first_proposals(swarm, objective, config, rng)
-    if open_retries.size:
-        _retries(swarm, objective, config, open_retries)
+    retrying = (rejected & swarm.retry_open).nonzero()[0]
+    if retrying.size:
+        # take gathers the (P, d) rows with less per-call overhead than indexing;
+        # for the 1-D fitness gather below, indexing is the faster of the two
+        retries = swarm.positions.take(retrying, axis=0)
+        retries += swarm.last_pace.take(retrying, axis=0)
+        _clamp_in_place(retries, lower, upper)
+        values = _evaluate_rows(objective, retries)
+        better = values < swarm.fitness[retrying]
+        swarm.retry_open[retrying] = better
+        moved = retrying[better]
+        swarm.positions[moved] = retries[better]
+        swarm.fitness[moved] = values[better]
     _refresh_best(swarm)
-    return len(swarm.fitness) + rejected
+    return len(swarm.fitness) + int(np.count_nonzero(rejected))
 
 
 def optimize(objective: Objective, config: FdoConfig,

@@ -1,5 +1,7 @@
 """Tests for the core optimizer: pace rules, acceptance protocol, invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,27 @@ class TestComputePace:
         assert_same_bits(compute_pace(*frozen), expected)
         for before, after in zip(inputs, frozen):
             assert_same_bits(after, before)
+
+    def test_allocates_one_temporary_beside_the_pace(self):
+        """At (40, 741), d of the MLP workload, compute_pace's peak stays
+        below three (P, d) float arrays: the returned pace and one signed
+        factor, with no third block for the sign."""
+        rng = np.random.default_rng(5)
+        shape = (40, 741)
+        positions = rng.uniform(-3.0, 3.0, shape)
+        best = rng.uniform(-3.0, 3.0, shape[1])
+        fw = rng.uniform(0.0, 1.0, shape[0])
+        fw[::7] = np.inf
+        r = rng.uniform(-1.0, 1.0, shape)
+        compute_pace(positions, best, fw, r)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            compute_pace(positions, best, fw, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * positions.nbytes
 
 
 class TestInitializeSwarm:
