@@ -270,15 +270,15 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     split containing a single class aborts at once, with the fold named.
 
     FDO folds (``train`` left at None) train on a pool of up to two threads,
-    one per usable CPU, while the calling thread waits; a caller's ``train``
-    runs in the calling thread alone. The folds are scored in fold order, and
-    a fold's model depends only on its own stream, so the report is the same
-    bit for bit for any thread count. ``k`` below 2 is rejected before any work.
+    one per usable CPU (a pool of one thread on one CPU), while the calling
+    thread waits; a caller's ``train`` runs in the calling thread alone. The
+    folds are scored in fold order, and a fold's model depends only on its
+    own stream, so the report is the same bit for bit for any thread count.
+    ``k`` below 2 is rejected before any work.
     """
     if k < 2:
         raise ValueError(f"cross-validation needs k >= 2 folds, got k = {k}")
     workers = _fold_threads(train)
-    train = train or train_fdo_mlp
     rng = np.random.default_rng(config.fdo.seed)
     assignment = kfold_splits(data.n_samples, k, rng)
     fold_rngs = rng.spawn(k)
@@ -321,8 +321,8 @@ _FOLD_THREADS = 2
 
 
 def _fold_threads(train: Trainer | None) -> int:
-    """Threads for cross_validate's folds: up to ``_FOLD_THREADS``, one per
-    usable CPU, for FDO, and the calling thread alone for a caller's
+    """Threads for cross_validate's folds: a pool of up to ``_FOLD_THREADS``,
+    one per usable CPU, for FDO, and the calling thread alone for a caller's
     trainer.
 
     Two FDO folds share one interpreter lock, which each numpy call
@@ -331,13 +331,18 @@ def _fold_threads(train: Trainer | None) -> int:
     7-scout chunk plus about 9 per call), two 230-row folds trained at once
     take 1.08-1.10x the time of one fold alone; at 15 calls per chunk they
     took 1.46-1.51x (in process, one BLAS thread, medians of 16 alternating
-    runs on 2 CPUs). Backprop, the trainer the CLI passes, stays in one
-    thread: an epoch on a 230-row fold is 21 numpy calls taking about 58 us
-    in all, too short to overlap across the GIL handoffs, and 5 linear
-    folds of 2,000 epochs took 0.61 s on one thread against 0.83 s on two
-    (in process, medians of 8 alternating runs). Nor does backprop gain from
-    a pool of one thread, though it spares FDO folds most of the calling
-    thread's page faults: routed through one, the crossval-bp benchmark's
+    runs on 2 CPUs). On one CPU FDO folds still train on a pool, of one
+    thread, which spares them most of the calling thread's page faults:
+    under ``taskset -c 0``, a process's second 5-fold cross_validate of
+    criterion 7's data took 1,473-1,479 minor faults and 0.55-0.64 s on the
+    pool thread against 67,025 faults and 0.69-0.80 s in the calling thread
+    (3 alternating runs, same bits). Backprop, the trainer the CLI passes,
+    stays in the calling thread: an epoch on a 230-row fold is 19 numpy
+    calls taking about 53 us in all, in arrays allocated once per run, too
+    short to overlap across the GIL handoffs, and 5 linear folds of 2,000
+    epochs took 0.61 s on one thread against 0.83 s on two (in process,
+    medians of 8 alternating runs). Nor does backprop gain from
+    a pool of one thread: routed through one, the crossval-bp benchmark's
     wall time was higher in 12 of 14 alternating pairs, in two sets of 7
     (medians +2.2 % in the second). The fold count is no bound here: a run
     that trains any fold trains at least 2.
@@ -351,15 +356,18 @@ def _fold_threads(train: Trainer | None) -> int:
     return max(1, min(_FOLD_THREADS, cpus))
 
 
-def _train_folds(train: Trainer, datasets: list[LabeledDataset], config: TrainingConfig,
-                 rngs: list[np.random.Generator], workers: int) -> list[TrainedModel]:
-    """Each fold's model, trained in the calling thread for one worker, else
-    on a pool of ``workers`` threads while the calling thread waits on the
-    folds in order. The pool starts folds in order and skips those started
-    after a failure, so the first failure read is the one a sequential run
-    meets first. An interrupted wait starts no queued fold."""
-    if workers == 1:
+def _train_folds(train: Trainer | None, datasets: list[LabeledDataset],
+                 config: TrainingConfig, rngs: list[np.random.Generator],
+                 workers: int) -> list[TrainedModel]:
+    """Each fold's model: a caller's ``train`` runs in the calling thread,
+    and FDO (``train`` None) on a pool of ``workers`` threads, even one,
+    while the calling thread waits on the folds in order. The pool starts
+    folds in order and skips those started after a failure, so the first
+    failure read is the one a sequential run meets first. An interrupted
+    wait starts no queued fold."""
+    if train is not None:
         return [train(data, config, rng) for data, rng in zip(datasets, rngs)]
+    train = train_fdo_mlp
     failed = threading.Event()
 
     def run(data: LabeledDataset, rng: np.random.Generator) -> TrainedModel | None:

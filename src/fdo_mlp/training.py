@@ -100,17 +100,22 @@ def _target_matrix(labels: np.ndarray, outputs: int) -> np.ndarray:
     return targets
 
 
-def _mse(residuals: np.ndarray):
+def _mse(residuals: np.ndarray, squares: np.ndarray | None = None):
     """Mean over rows of the summed squares of a (samples, outputs) residual
     matrix, as a float, or one value per slice of a (c, samples, outputs)
-    stack: the one MSE expression every caller shares.
+    stack: the one MSE expression every caller shares. The squares are
+    written to ``squares``, an array shaped like ``residuals``, if given.
 
-    The two reductions and the division by the row count are what
+    The reductions and the division by the row count are what
     ``np.mean(np.sum(residuals ** 2, axis=-1), axis=-1)`` runs, with the
-    same bits and without its Python-level overhead."""
-    totals = np.add.reduce(np.add.reduce(np.square(residuals), axis=-1), axis=-1)
-    values = totals / residuals.shape[-2]
-    return float(values) if values.ndim == 0 else values
+    same bits and without its Python-level overhead. With one output unit
+    the sum over outputs is each square itself, so it is skipped: the
+    squares' one column is laid out as that sum would be."""
+    squares = np.square(residuals, out=squares)
+    totals = np.add.reduce(squares[..., 0] if squares.shape[-1] == 1
+                           else np.add.reduce(squares, axis=-1), axis=-1)
+    rows = residuals.shape[-2]
+    return float(totals) / rows if totals.ndim == 0 else totals / rows
 
 
 def output_mse(outputs: np.ndarray, labels: np.ndarray) -> float:
@@ -157,8 +162,9 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
     def objective(flat: np.ndarray) -> np.ndarray:
         flat = np.asarray(flat, dtype=float)
         rows = np.atleast_2d(flat)
-        outputs = _forward_pass(decode(rows, topology), inputs, sigmoid_output,
-                                layer[:len(rows)])[1]
+        with np.errstate(over="ignore"):
+            outputs = _forward_pass(decode(rows, topology), inputs, sigmoid_output,
+                                    layer[:len(rows)])[1]
         outputs -= targets
         values = _mse(outputs)
         return values if flat.ndim == 2 else float(values[0])
@@ -184,27 +190,21 @@ def _flat_params(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
     return MlpParams(flat[:i].reshape(n + 1, m), flat[i:].reshape(m + 1, o))
 
 
-def _backprop_work(x: np.ndarray, hidden: int) -> tuple[np.ndarray, ...]:
-    """What one :func:`_loss_and_gradient` pass over the features ``x``
-    computes with: -[x | 1] and a C-ordered copy of [x | 1]ᵀ, built here
-    once, an array of [x | 1]ᵀ's shape for its columns scaled by d_out, and
-    two (rows, hidden) arrays, for the activations and their slope."""
-    inputs = _negated_inputs(x)
-    inputs_t = np.negative(inputs.T, order="C")
-    return (inputs, inputs_t, np.empty_like(inputs_t),
-            *(np.empty((x.shape[0], hidden)) for _ in range(2)))
+def _backprop_pass(params: MlpParams, x: np.ndarray, targets: np.ndarray,
+                   sigmoid_output: bool, grads: MlpParams) -> Callable[[], float]:
+    """One loss-and-gradient pass of ``params`` over the features ``x``
+    against a prebuilt :func:`_target_matrix`, as a callable built once.
 
-
-def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
-                       sigmoid_output: bool, work: tuple[np.ndarray, ...],
-                       grads: MlpParams | None = None) -> tuple[float, MlpParams]:
-    """:func:`mse_fitness` and its gradient from one forward pass over the
-    features ``x`` against a prebuilt :func:`_target_matrix`.
-
-    The gradient comes as params: ``grads``, written in place, or else fresh
-    ones. Every hidden-layer-sized value is computed in ``work``, from
-    :func:`_backprop_work` on ``x``, so a call given ``grads`` allocates only
-    arrays of the size of the output layer.
+    Every array a pass computes in is allocated here: -[x | 1] and a
+    C-ordered copy of [x | 1]ᵀ, an array of [x | 1]ᵀ's shape for its columns
+    scaled by d_out, two (rows, hidden) arrays, for the activations and
+    their slope, and three (rows, outputs) arrays, for the outputs, the
+    residuals (then d_out) and their squares. Each call reads ``params`` as
+    they are then, so a caller that updates them in place calls the same
+    pass again, returns :func:`mse_fitness` of them and writes its gradient
+    into ``grads``, allocating only numpy's iteration buffers. The forward
+    pass runs without an errstate of its own: the caller silences exp's
+    overflow.
 
     The W and b_h rows are [x | 1]ᵀ @ ((d_out @ Vᵀ) ⊙ h(1 - h)). With one
     output unit, d_out @ Vᵀ is the outer product of two vectors, whose row
@@ -216,40 +216,52 @@ def _loss_and_gradient(params: MlpParams, x: np.ndarray, targets: np.ndarray,
     gradient has read them, and the slope is scaled by it before the one
     product.
     """
-    inputs, inputs_t, scaled, hidden, slope = work
-    hidden, out = _forward_pass(params, inputs, sigmoid_output, hidden)
-    residuals = out - targets
-    loss = _mse(residuals)
-    d_out = (2.0 / x.shape[0]) * residuals
-    if sigmoid_output:
-        d_out *= out
-        d_out *= 1.0 - out
-    if grads is None:
-        grads = _flat_params(np.empty(vector_dimension(params.topology)), params.topology)
-    np.matmul(hidden.T, d_out, out=grads.hidden_output_weights)
-    np.add.reduce(d_out, axis=0, out=grads.output_biases)
-    np.subtract(1.0, hidden, out=slope)
-    slope *= hidden
-    weights_out = params.hidden_output_weights
-    if weights_out.shape[1] == 1:
-        np.multiply(inputs_t, d_out.T, out=scaled)
-        block = np.matmul(scaled, slope, out=grads.hidden_block)
-        block *= weights_out.T
-    else:
-        slope *= np.matmul(d_out, weights_out.T, out=hidden)
-        np.matmul(inputs_t, slope, out=grads.hidden_block)
-    return loss, grads
+    inputs = _negated_inputs(x)
+    inputs_t = np.negative(inputs.T, order="C")
+    scaled = np.empty_like(inputs_t)
+    hidden, slope = (np.empty((x.shape[0], params.topology.hidden)) for _ in range(2))
+    out, d_out, squares = (np.empty_like(targets) for _ in range(3))
+    hidden_t, d_out_t = hidden.T, d_out.T
+    scale = 2.0 / x.shape[0]
+    weights_out_t = params.hidden_output_weights.T
+    grad_v, grad_b_o = grads.hidden_output_weights, grads.output_biases
+    grad_block = grads.hidden_block
+
+    def run() -> float:
+        _forward_pass(params, inputs, sigmoid_output, hidden, out)
+        np.subtract(out, targets, out=d_out)
+        loss = _mse(d_out, squares)
+        np.multiply(d_out, scale, out=d_out)
+        if sigmoid_output:
+            np.multiply(d_out, out, out=d_out)
+            np.multiply(d_out, np.subtract(1.0, out, out=squares), out=d_out)
+        np.dot(hidden_t, d_out, out=grad_v)
+        np.add.reduce(d_out, axis=0, out=grad_b_o)
+        np.multiply(np.subtract(1.0, hidden, out=slope), hidden, out=slope)
+        if len(weights_out_t) == 1:
+            np.multiply(inputs_t, d_out_t, out=scaled)
+            np.dot(scaled, slope, out=grad_block)
+            np.multiply(grad_block, weights_out_t, out=grad_block)
+        else:
+            np.multiply(slope, np.dot(d_out, weights_out_t, out=hidden), out=slope)
+            np.dot(inputs_t, slope, out=grad_block)
+        return loss
+
+    return run
 
 
+@np.errstate(over="ignore")
 def mse_gradient(params: MlpParams, data: LabeledDataset,
                  sigmoid_output: bool = False) -> MlpParams:
-    """Analytic gradient of :func:`mse_fitness`, arranged like the params;
-    the gradient half of the loss-and-gradient pass backprop trains with."""
+    """Analytic gradient of :func:`mse_fitness`, arranged like the params:
+    the gradient half of the pass backprop trains with, built for one call.
+    An overflow of exp, or of a gradient that large, gives no warning."""
     topology = _one_network(params)
     _check_dataset(topology, data)
+    grads = _flat_params(np.empty(vector_dimension(topology)), topology)
     targets = _target_matrix(data.labels, topology.outputs)
-    work = _backprop_work(data.features, topology.hidden)
-    return _loss_and_gradient(params, data.features, targets, sigmoid_output, work)[1]
+    _backprop_pass(params, data.features, targets, sigmoid_output, grads)()
+    return grads
 
 
 def check_bp_settings(learning_rate: float, epochs: int) -> None:
@@ -278,8 +290,9 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
     :func:`_flat_params`. An epoch's update is two calls over the whole
     vector (``grad *= lr; theta -= grad``, the bits of ``w - lr * g``), and
     the parameters are copied into the best vector only when the loss
-    strictly improves. The returned params view a copy of the best vector;
-    the hidden layer is computed in work arrays allocated once per run.
+    strictly improves. The returned params view a copy of the best vector.
+    Every epoch runs the one :func:`_backprop_pass` built for the run, whose
+    arrays are allocated once, under this function's errstate.
     """
     check_bp_settings(learning_rate, epochs)
     _check_dataset(topology, train_data)
@@ -291,16 +304,15 @@ def train_bp_mlp(train_data: LabeledDataset, topology: MlpTopology,
                  params.hidden_output_weights, params.output_biases):
         view[...] = gen.uniform(-0.5, 0.5, view.shape)
     best = theta.copy()
-    x = train_data.features
     targets = _target_matrix(train_data.labels, topology.outputs)
-    work = _backprop_work(x, topology.hidden)
-    best_loss = _loss_and_gradient(params, x, targets, sigmoid_output, work, grads)[0]
+    epoch_pass = _backprop_pass(params, train_data.features, targets, sigmoid_output, grads)
+    best_loss = epoch_pass()
     values: list[float] = []
     for epoch in range(1, epochs + 1):
         grad *= learning_rate  # theta - grad * lr has the bits of theta - lr * grad
         theta -= grad
         # the gradient for the next epoch comes from the pass that scores these params
-        loss = _loss_and_gradient(params, x, targets, sigmoid_output, work, grads)[0]
+        loss = epoch_pass()
         if not math.isfinite(loss):
             raise EvaluationError(f"training diverged at epoch {epoch}")
         if loss < best_loss:

@@ -386,13 +386,22 @@ class TestCrossValidateThreads:
         assert 1 <= len(threads) <= 2
         assert all(thread.name.startswith("fold-worker") for thread in threads)
 
-    def test_one_cpu_trains_in_the_calling_thread(self, cpus, fdo_fake):
+    def test_one_cpu_trains_fdo_folds_on_one_fold_worker(self, cpus, fdo_fake):
+        """On one CPU the folds train in order on one pool thread, not in
+        the calling thread, and the pool is gone when the call returns."""
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))
         config = tiny_config(2)
         cpus(1)
         train = fdo_fake(config)
+        before = threading.active_count()
         cross_validate(data, 3, config)
-        assert train.calls == [(fold, threading.current_thread()) for fold in (1, 2, 3)]
+        assert threading.active_count() == before
+        assert [fold for fold, _ in train.calls] == [1, 2, 3]
+        threads = {thread for _, thread in train.calls}
+        assert len(threads) == 1
+        (thread,) = threads
+        assert thread is not threading.current_thread()
+        assert thread.name.startswith("fold-worker")
 
     def test_a_callers_trainer_runs_in_the_calling_thread(self, cpus):
         data = generate_synthetic(30, 2, 4.0, 0.5, np.random.default_rng(1))

@@ -9,11 +9,10 @@ import pytest
 from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
 from fdo_mlp.fdo import EvaluationError
 from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
-                         encode, forward_batch, sigmoid, vector_dimension)
-from fdo_mlp.training import (TrainingConfig, _backprop_work, _flat_params,
-                              _loss_and_gradient, _mse, _target_matrix, make_objective,
-                              mse_fitness, mse_gradient, run_statistics, train_bp_mlp,
-                              train_fdo_mlp)
+                         encode, forward, forward_batch, sigmoid, vector_dimension)
+from fdo_mlp.training import (TrainingConfig, _backprop_pass, _flat_params, _mse,
+                              _target_matrix, make_objective, mse_fitness, mse_gradient,
+                              run_statistics, train_bp_mlp, train_fdo_mlp)
 from test_mlp import layered_params
 
 XOR = LabeledDataset(
@@ -223,9 +222,10 @@ class TestMakeObjective:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_sigmoids_warn_nowhere(self):
         """Weights of +-1000 push exp past 709.78 in the hidden and the
-        output sigmoid. The objective over several chunks, forward_batch and
-        sigmoid alone each give finite values, 0 where exp overflows, and no
-        overflow warning."""
+        output sigmoid. The objective over several chunks, forward,
+        forward_batch, mse_gradient, a backprop run and sigmoid alone each
+        give finite values, 0 where exp overflows, and no overflow warning:
+        each holds the errstate the forward pass leaves to its callers."""
         rng = np.random.default_rng(19)
         topology, samples = MlpTopology(18, 37, 1), 230
         data = random_dataset(rng, samples, topology.inputs)
@@ -246,8 +246,20 @@ class TestMakeObjective:
         out = forward_batch(params, data.features, sigmoid_output=True)
         assert np.isfinite(out).all()
         assert (out[s_out < -709.79] == 0.0).all()
-        assert (_forward_pass(params, _negated_inputs(data.features), False)[0][s < -709.79]
-                == 0.0).all()
+        rowwise = np.array([forward(params, row, sigmoid_output=True)
+                            for row in data.features])
+        assert np.isfinite(rowwise).all()
+        assert (rowwise[s_out < -709.79] == 0.0).all()
+        with np.errstate(over="ignore"):
+            layer = _forward_pass(params, _negated_inputs(data.features), False)[0]
+        assert (layer[s < -709.79] == 0.0).all()
+        for flag in (False, True):
+            assert np.isfinite(encode(mse_gradient(params, data, flag))).all()
+        init = (params.input_hidden_weights, params.hidden_biases,
+                params.hidden_output_weights, params.output_biases)
+        model = train_bp_mlp(data, topology, 1e-9, 3, ReplayGenerator(init),
+                             sigmoid_output=True)
+        assert np.isfinite(model.curve.values).all()
         assert (sigmoid(s) == hidden).all()
         assert sigmoid(-1000.0) == 0.0
 
@@ -402,13 +414,21 @@ class ReplayGenerator:
         return array.copy()
 
 
-def stale_work(x, hidden):
-    """Work arrays for the features ``x`` whose hidden-layer arrays hold
-    values a pass must never read."""
-    work = _backprop_work(x, hidden)
-    for array in work[2:]:
-        array.fill(math.nan)
-    return work
+def stale_pass(params, x, targets, sigmoid_output):
+    """The pass built for a copy of ``params`` and a fresh gradient, and the
+    gradient. The pass has run once on NaN params, so its arrays and the
+    gradient hold values it must never read, before the copy took the
+    values of ``params``, as a backprop run updates its params in place."""
+    topology = params.topology
+    flat = np.concatenate([params.hidden_block, params.output_block], axis=None)
+    live = _flat_params(np.full_like(flat, math.nan), topology)
+    grads = _flat_params(np.empty_like(flat), topology)
+    run = _backprop_pass(live, x, targets, sigmoid_output, grads)
+    run()
+    assert np.isnan(encode(grads)).all()
+    live.hidden_block[...] = params.hidden_block
+    live.output_block[...] = params.output_block
+    return run, grads
 
 
 def constant_hidden_params(inputs, output_bias):
@@ -423,8 +443,8 @@ def constant_hidden_params(inputs, output_bias):
 class TestLossAndGradient:
     def assert_matches_reference(self, params, x, targets, flag):
         """Loss and gradients, bit for bit."""
-        work = stale_work(x, params.hidden_biases.shape[0])
-        loss, grads = _loss_and_gradient(params, x, targets, flag, work)
+        run, grads = stale_pass(params, x, targets, flag)
+        loss = run()
         ref_loss, ref_grads = allocating_loss_and_gradient(params, x, targets, flag)
         assert repr(loss) == repr(ref_loss)
         for got, expected in zip(param_arrays(grads), ref_grads):
@@ -464,22 +484,24 @@ class TestLossAndGradient:
     @pytest.mark.parametrize("outputs", [1, 2])
     @pytest.mark.parametrize("flag", [False, True])
     def test_given_grads_allocates_less_than_a_hidden_layer(self, outputs, flag):
-        """A pass given ``grads`` at 230 rows and 18-37-o allocates less than
-        one (rows, hidden) float array, 68,080 bytes, at its peak: no outer
-        product d_out ⊗ V or hidden-layer delta is built outside ``work``."""
+        """The second call of a pass built at 230 rows and 18-37-o allocates
+        less than one (rows, hidden) float array, 68,080 bytes, at its peak:
+        no outer product d_out ⊗ V or hidden-layer delta is built outside
+        the arrays the pass was built with. What it does allocate is numpy's
+        iteration buffer for the broadcast multiplies, about 36 KB for the
+        d_out-scaled [x | 1]ᵀ with one output unit."""
         rng = np.random.default_rng(27)
         data = random_dataset(rng, 230, 18)
         topology = MlpTopology(18, 37, outputs)
         params = random_params(rng, topology)
         grads = _flat_params(np.empty(vector_dimension(topology)), topology)
         targets = _target_matrix(data.labels, outputs)
-        work = _backprop_work(data.features, 37)
-        args = (params, data.features, targets, flag, work, grads)
-        _loss_and_gradient(*args)
+        run = _backprop_pass(params, data.features, targets, flag, grads)
+        run()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            _loss_and_gradient(*args)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -522,8 +544,7 @@ class TestJoinedGradient:
             targets = _target_matrix(data.labels, outputs)
             for flag in (False, True):
                 params = random_params(rng, MlpTopology(18, hidden, outputs), scale=3.0)
-                grads = _loss_and_gradient(params, x, targets, flag,
-                                           _backprop_work(x, hidden))[1]
+                grads = mse_gradient(params, data, flag)
                 hidden_out, out = _forward_pass(params, _negated_inputs(x), flag)
                 d_out = (2.0 / x.shape[0]) * (out - targets)
                 if flag:
@@ -604,15 +625,15 @@ class TestTrainBpMlp:
                                                     np.random.default_rng(7)))
         topology = MlpTopology(4, 9, 1)
         live, losses = [], []
-        real = training._loss_and_gradient
+        real = training._forward_pass
 
         def recording(params, *args):
             live.append(params)
-            loss, grads = real(params, *args)
-            losses.append(loss)
-            return loss, grads
+            hidden, out = real(params, *args)
+            losses.append(training.output_mse(out, data.labels))
+            return hidden, out
 
-        monkeypatch.setattr(training, "_loss_and_gradient", recording)
+        monkeypatch.setattr(training, "_forward_pass", recording)
         model = train_bp_mlp(data, topology, learning_rate, 250,
                              np.random.default_rng(3), sigmoid_output=flag)
         best_epoch = losses.index(model.train_mse)
