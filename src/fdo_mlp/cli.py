@@ -4,12 +4,12 @@ Five commands: ``generate`` (synthetic dataset), ``train`` (FDO or
 backpropagation), ``evaluate`` (saved model against a dataset), ``crossval``
 (k-fold cross-validation) and ``benchmark`` (optimizer on a classical test
 function). Every command accepts ``--config FILE`` with one ``key = value``
-per line (``#`` starts a comment); keys mirror the long flag names and
-explicit flags win over the file. Unknown and repeated keys are rejected with
-the file and line, and a required value (``data``, ``model``) may come from
-either place. Seeds default to a fixed constant so runs are reproducible out
-of the box, and all file output is written to a temporary file and renamed
-into place.
+per line (``#`` starts a comment); keys mirror the long flags that take a
+value and explicit flags win over the file. Unknown and repeated keys are
+rejected with the file and line, and a required value (``data``, ``model``)
+may come from either place. Seeds default to a fixed constant so runs are
+reproducible out of the box, and all file output is written to a temporary
+file and renamed into place.
 
 After its parameters, ``model.txt`` records in the config format the columns,
 scaling, output activation and threshold that ``evaluate`` replays; a model
@@ -89,12 +89,14 @@ def _convert_entries(entries: dict, source: str, actions: dict) -> dict:
 
 def _config_defaults(path: str, parser: argparse.ArgumentParser) -> dict:
     """The config file's values, converted as their flags would be, keyed by
-    destination: defaults for ``parser``, so explicit flags win."""
+    destination: defaults for ``parser``, so explicit flags win. The keys
+    are the options that take a value, other than ``--config``."""
     try:
         lines = read_text(path).splitlines()
     except OSError as err:
         raise CliError(f"cannot read config file {path}: {err}") from err
-    actions = {a.dest: a for a in parser._actions if a.dest != "config"}
+    actions = {a.dest: a for a in parser._actions
+               if a.nargs != 0 and a.dest != "config"}
     return _convert_entries(parse_key_values(lines, path), path, actions)
 
 
@@ -213,19 +215,15 @@ def _column_names(text: str) -> list[str]:
 
 
 def _load_dataset(path: str, label_column: str, keep: list[str] | None) -> LabeledDataset:
-    """A CSV's dataset, narrowed to the ``keep`` columns when given; a kept
-    column the CSV lacks fails naming the file."""
+    """A CSV's dataset, narrowed to the ``keep`` columns when given; each
+    :func:`select_features` error names the file."""
     data = load_csv(path, label_column)
-    lacking = [name for name in keep or () if name not in data.column_names]
-    if lacking:
-        raise CliError(f"{path}: unknown column {lacking[0]!r}")
-    return data if keep is None else select_features(data, keep)
-
-
-def _overflow_error(path: str, err: ScaleOverflowError, problem: str) -> CliError:
-    """``err`` placed at the CSV file line of its data row."""
-    return CliError(f"{path}: line {csv_data_line(path, err.row)}, column {err.column!r}: "
-                    f"{err.value!r} {problem}")
+    if keep is None:
+        return data
+    try:
+        return select_features(data, keep)
+    except ValueError as err:
+        raise CliError(f"{path}: {err}") from None
 
 
 def _check_ranges(path: str, line: int, names, mins, maxs) -> None:
@@ -362,15 +360,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     params, names, state, sigmoid_output, threshold = _read_model(args.model)
-    raw = _load_dataset(args.data, args.label_column, names)
-    try:
-        data = normalize_with(raw, state)
-    except ScaleOverflowError as err:
-        col = names.index(err.column)
-        raise _overflow_error(
-            args.data, err, "leaves the model's range: scaling it by mins "
-            f"{state.mins[col].item()!r} and maxs {state.maxs[col].item()!r} overflows"
-        ) from None
+    data = normalize_with(_load_dataset(args.data, args.label_column, names), state)
     _, _, cm, report = score(params, data, threshold, sigmoid_output)
     print("confusion matrix (class 1 positive):")
     print(f"  tp={cm.tp}  fp={cm.fp}")
@@ -411,11 +401,7 @@ def _crossval_csvs(report: CrossValReport) -> dict[str, str]:
 def cmd_crossval(args: argparse.Namespace) -> int:
     data = _load_dataset(args.data, args.label_column, args.keep_columns)
     config = _training_config(args, data.n_features)
-    try:
-        report = cross_validate(data, args.k, config, train=_trainer(args))
-    except ScaleOverflowError as err:
-        raise _overflow_error(args.data, err, "scales past the float range under its "
-                              "fold's min-max scaling") from None
+    report = cross_validate(data, args.k, config, train=_trainer(args))
 
     out_dir = Path(args.out_dir)
     for name, text in _crossval_csvs(report).items():
@@ -475,6 +461,15 @@ _COMMANDS = {
     "benchmark": cmd_benchmark,
 }
 
+# How each command that scales the --data CSV words a value that its min-max
+# scaling carries past the float range.
+_OVERFLOW_PHRASES = {
+    "train": "scales past the float range under min-max scaling",
+    "crossval": "scales past the float range under its fold's min-max scaling",
+    "evaluate": "leaves the model's range: scaling it by the model's mins and maxs "
+                "overflows",
+}
+
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -488,7 +483,12 @@ def main(argv: list[str] | None = None) -> int:
             subparser.set_defaults(**_config_defaults(args.config, subparser))
             args = parser.parse_args(argv)
         _check_required(args, subparser)
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except ScaleOverflowError as err:
+            line = csv_data_line(args.data, err.row)
+            raise CliError(f"{args.data}: line {line}, column {err.column!r}: "
+                           f"{err.value!r} {_OVERFLOW_PHRASES[args.command]}") from None
     except (CliError, ValueError, OSError, EvaluationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -81,10 +81,11 @@ def load_csv(path, label_column: str) -> LabeledDataset:
 
     Column names must be distinct. All cells must parse as finite decimal
     numbers; the label column must contain only 0 and 1. Parse failures
-    report the file line the row starts on and the column name; a feature
-    column whose max - min overflows is rejected by name, and a file the
-    csv module or the UTF-8 decoder cannot read fails naming the file. A
-    leading byte-order mark is not part of the first column's name.
+    report the file line the row starts on and the column name, and a file
+    the csv module or the UTF-8 decoder cannot read fails naming the file.
+    A leading byte-order mark is not part of the first column's name.
+    Whether a column's values can be scaled is not judged here: that is
+    :func:`normalize_with`'s rule, applied to the columns a caller keeps.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as handle:
@@ -129,13 +130,8 @@ def load_csv(path, label_column: str) -> LabeledDataset:
             labels.append(int(label))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    features = np.array(rows, dtype=float)
-    with np.errstate(over="ignore"):
-        spans = features.max(axis=0) - features.min(axis=0)
-    for name, span in zip(feature_names, spans):
-        if not math.isfinite(span):
-            raise ValueError(f"{path}: column {name!r}: max - min is not finite")
-    return LabeledDataset(features, np.array(labels, dtype=int), feature_names)
+    return LabeledDataset(np.array(rows, dtype=float), np.array(labels, dtype=int),
+                          feature_names)
 
 
 def _csv_rows(path: Path, handle):
@@ -281,12 +277,7 @@ def generate_synthetic(samples: int, features: int, class_separation: float,
         raise ValueError(
             f"class_balance {class_balance} gives a single-class dataset of {samples} samples")
     direction = rng.normal(size=features)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        direction = np.zeros(features)
-        direction[0] = 1.0
-    else:
-        direction = direction / norm
+    direction = direction / np.linalg.norm(direction)
     offset = direction * (class_separation / 2.0)
     labels = np.array([1] * n_pos + [0] * (samples - n_pos), dtype=int)
     points = rng.normal(size=(samples, features))

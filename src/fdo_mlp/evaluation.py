@@ -312,11 +312,9 @@ def cross_validate(data: LabeledDataset, k: int, config: TrainingConfig,
     return CrossValReport(folds=tuple(reports))
 
 
-# The most threads FDO folds train on. Only 2, on 2 CPUs, has been measured
-# (the crossval-fdo benchmark's wall time went to 0.75x at seed 0 and 0.86x
-# at seed 1009, against one thread); a pair of folds now takes about 1.1x
-# one fold alone (see _fold_threads). Each further thread would add another
-# fold's ~1.8 MB of work arrays at an unmeasured gain.
+# The most threads FDO folds train on: one pair of folds, the only count
+# measured to win (on 2 CPUs). Each further thread would add another fold's
+# work arrays at an unmeasured gain.
 _FOLD_THREADS = 2
 
 
@@ -326,26 +324,16 @@ def _fold_threads(train: Trainer | None) -> int:
     trainer.
 
     Two FDO folds share one interpreter lock, which each numpy call
-    releases and takes back, so a pair of folds pays for the objective's
-    call count. With one forward pass per objective call (5 numpy calls per
-    7-scout chunk plus about 9 per call), two 230-row folds trained at once
-    take 1.08-1.10x the time of one fold alone; at 15 calls per chunk they
-    took 1.46-1.51x (in process, one BLAS thread, medians of 16 alternating
-    runs on 2 CPUs). On one CPU FDO folds still train on a pool, of one
-    thread, which spares them most of the calling thread's page faults:
-    under ``taskset -c 0``, a process's second 5-fold cross_validate of
-    criterion 7's data took 1,473-1,479 minor faults and 0.55-0.64 s on the
-    pool thread against 67,025 faults and 0.69-0.80 s in the calling thread
-    (3 alternating runs, same bits). Backprop, the trainer the CLI passes,
-    stays in the calling thread: an epoch on a 230-row fold is 19 numpy
-    calls taking about 53 us in all, in arrays allocated once per run, too
-    short to overlap across the GIL handoffs, and 5 linear folds of 2,000
-    epochs took 0.61 s on one thread against 0.83 s on two (in process,
-    medians of 8 alternating runs). Nor does backprop gain from
-    a pool of one thread: routed through one, the crossval-bp benchmark's
-    wall time was higher in 12 of 14 alternating pairs, in two sets of 7
-    (medians +2.2 % in the second). The fold count is no bound here: a run
-    that trains any fold trains at least 2.
+    releases and takes back; with one forward pass per objective call, a
+    pair of folds still trains in little more than the time of one, so on 2
+    CPUs they win. On one CPU FDO folds still train on a pool, of one
+    thread, which spares them most of the page faults that the calling
+    thread's allocator history costs. Backprop, the trainer the CLI passes,
+    stays in the calling thread: its epoch is a few short numpy calls on
+    arrays allocated once per run, too short to overlap across the lock's
+    handoffs, and neither two threads nor a pool of one has measured
+    faster. The figures are in the README. The fold count is no bound
+    here: a run that trains any fold trains at least 2.
     """
     if train is not None:
         return 1

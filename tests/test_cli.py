@@ -131,7 +131,8 @@ class TestTrain:
         out = tmp_path / "run"
         assert run("train", "--data", synth_csv, "--keep-columns", "f01,f01",
                    "--out-dir", out) == 1
-        assert "column 'f01' is kept more than once" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {synth_csv}: column 'f01' is kept more than once\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "key"])
@@ -141,7 +142,8 @@ class TestTrain:
         given = ["--keep-columns", ""] if source == "flag" else ["--config", cfg]
         out = tmp_path / "run"
         assert run("train", "--data", synth_csv, *given, "--out-dir", out) == 1
-        assert "keep must name at least one column" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {synth_csv}: keep must name at least one column\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "crossval"])
@@ -151,6 +153,39 @@ class TestTrain:
         assert run(command, "--data", synth_csv, "--keep-columns", "f01,x3",
                    "--out-dir", out) == 1
         assert capsys.readouterr().err == f"error: {synth_csv}: unknown column 'x3'\n"
+        assert not out.exists()
+
+    @pytest.fixture()
+    def unscalable_csv(self, tmp_path):
+        """Column f02 spans the whole float range, so min-max scaling cannot
+        scale it; f01 is ordinary."""
+        path = tmp_path / "wide.csv"
+        rows = [f"{i / 10!r},{(1e308, -1e308)[i % 2]!r},{i % 2}" for i in range(10)]
+        path.write_text("\n".join(["f01,f02,label", *rows]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["train", "crossval", "evaluate"])
+    def test_column_that_is_not_kept_is_not_judged(self, unscalable_csv, tmp_path, capsys,
+                                                   command):
+        out = tmp_path / "run"
+        budget = ["--population", 4, "--iterations", 2, "--out-dir", out]
+        if command == "evaluate":
+            assert run("train", "--data", unscalable_csv, "--keep-columns", "f01",
+                       *budget) == 0
+            argv = ["evaluate", "--model", out / "model.txt", "--data", unscalable_csv]
+        else:
+            argv = [command, "--data", unscalable_csv, "--keep-columns", "f01", *budget]
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_kept_value_scaled_past_the_float_range_names_csv_line_and_column(
+            self, unscalable_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train", "--data", unscalable_csv, "--keep-columns", "f02",
+                   "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {unscalable_csv}: line 2, column 'f02': 1e+308 scales past the "
+            "float range under min-max scaling\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "crossval"])
@@ -344,6 +379,56 @@ class TestConfigFile:
         out = tmp_path / "run"
         assert run("train", "--data", xor_csv_path(), "--config", cfg, "--out-dir", out) == 0
         assert len((out / "convergence.csv").read_text().splitlines()) == 5
+
+    def test_help_key_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("seed = 3\nhelp = x\n")
+        out = tmp_path / "never"
+        assert run("generate", "--config", cfg, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line 2: unknown configuration key 'help'\n")
+        assert not out.exists()
+
+    # Each subcommand's value-taking long options, other than --config.
+    KEYS = {
+        "generate": {"samples", "features", "separation", "balance", "out", "seed",
+                     "out-dir"},
+        "train": {"data", "label-column", "keep-columns", "trainer", "population",
+                  "iterations", "weight-factor", "bounds", "hidden", "threshold",
+                  "output-activation", "learning-rate", "epochs", "seed", "out-dir"},
+        "evaluate": {"model", "data", "label-column"},
+        "crossval": {"data", "label-column", "k", "keep-columns", "trainer", "population",
+                     "iterations", "weight-factor", "bounds", "hidden", "threshold",
+                     "output-activation", "learning-rate", "epochs", "seed", "out-dir"},
+        "benchmark": {"function", "dimension", "population", "iterations",
+                      "weight-factor", "repeats", "seed", "out-dir"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_keys_are_exactly_the_value_taking_options(self, tmp_path, command):
+        """Every long option of every subcommand is tried as a key, so a new
+        option must be placed here too."""
+        from fdo_mlp.cli import CliError, _config_defaults
+
+        parser = build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices
+        candidates = {option[2:] for sub in subparsers.values() for action in sub._actions
+                      for option in action.option_strings if option.startswith("--")}
+        assert {"help", "config"} <= candidates
+        cfg = tmp_path / "one.cfg"
+        for key in sorted(candidates):
+            cfg.write_text(f"{key} = x\n")
+            try:
+                _config_defaults(str(cfg), subparsers[command])
+                accepted = True
+            except CliError as err:
+                accepted = "unknown configuration key" not in str(err)
+            assert accepted == (key in self.KEYS[command]), key
+
+    def test_unreadable_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        assert run("generate", "--config", cfg, "--out-dir", tmp_path / "never") == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg}: ")
 
     def test_non_utf8_file_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -577,7 +662,22 @@ class TestEvaluateReplaysTraining:
         assert run("evaluate", "--model", model, "--data", data) == 1
         assert capsys.readouterr().err == (
             f"error: {data}: line 4, column 'x2': 10000000000.0 leaves the model's "
-            "range: scaling it by mins 0.0 and maxs 1e-300 overflows\n")
+            "range: scaling it by the model's mins and maxs overflows\n")
+
+    def test_values_wider_than_any_csv_span_score_inside_the_model_range(
+            self, tmp_path, capsys):
+        """-1e308 and 1e308 scale to -4.5 and 5.5 under a recorded range of
+        [-1e307, 1e307], though their own span overflows; the network
+        predicts class 1 exactly for a positive scaled value."""
+        model = tmp_path / "model.txt"
+        model.write_text(self.MODEL.replace("x2,x1", "x1")
+                         .replace("2 1 1\n0.5 0.5 0.5 0.5 0.5", "1 1 1\n4.0 0.0 4.0 -2.0")
+                         .replace("mins = 0.0 0.0", "mins = -1e307")
+                         .replace("maxs = 1.0 1.0", "maxs = 1e307"))
+        data = tmp_path / "evalw.csv"
+        data.write_text("x1,label\n-1e308,0\n1e308,1\n")
+        assert run("evaluate", "--model", model, "--data", data) == 0
+        assert "tp=1  fp=0\n  fn=0  tn=1" in capsys.readouterr().out
 
     def test_column_the_csv_lacks_is_named(self, tmp_path, capsys):
         model = tmp_path / "model.txt"

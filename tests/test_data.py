@@ -57,9 +57,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=rf"data.csv: line 3, column 'b'.*{cell}"):
             load_csv(path, "label")
 
-    def test_overflowing_column_span_names_column(self, tmp_path):
-        path = write(tmp_path, "a,b,label\n1,1e308,0\n2,-1e308,1\n")
-        with pytest.raises(ValueError, match=r"data.csv: column 'b'"):
+    @pytest.mark.parametrize("text, message", [
+        ("", "file is empty"),
+        ("label\n1\n", "no feature columns besides the label"),
+        ("a,label\n", "no data rows"),
+    ], ids=["empty", "label-only", "header-only"])
+    def test_file_without_features_or_rows_names_file(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError, match=rf"data.csv: {message}$"):
             load_csv(path, "label")
 
     def test_ragged_row(self, tmp_path):
@@ -109,6 +114,17 @@ class TestLoadCsv:
 
 
 class TestLabeledDataset:
+    @pytest.mark.parametrize("features, labels, names, message", [
+        (np.zeros(3), [0, 1, 0], ("a",), "features must be a 2-D matrix"),
+        (np.zeros((3, 1)), [0, 1], ("a",), "labels length does not match the number of rows"),
+        (np.zeros((2, 1)), [0, 2], ("a",), r"labels must be binary \(0 or 1\)"),
+        (np.zeros((2, 1)), [0, 1], ("a", "b"),
+         "column_names length does not match feature width"),
+    ], ids=["one-dimensional", "label-count", "non-binary", "name-count"])
+    def test_inconsistent_parts_rejected(self, features, labels, names, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LabeledDataset(features, labels, names)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_row_and_column(self, value):
         features = np.zeros((3, 2))
@@ -187,6 +203,13 @@ class TestNormalize:
         wide = LabeledDataset(np.array([[0.5, -1e308], [0.7, 1e308]]), [0, 1], ("a", "b"))
         with pytest.raises(ScaleOverflowError, match="^row 1, column 'b': value 1e"):
             min_max_normalize(wide)
+
+    def test_replay_of_a_state_of_another_width_rejected(self):
+        state = NormalizationState(np.zeros(3), np.ones(3))
+        data = LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b"))
+        with pytest.raises(ValueError,
+                           match="normalization state does not match feature width"):
+            normalize_with(data, state)
 
     def test_replay_past_the_float_range_names_row_and_column(self):
         state = NormalizationState(np.array([0.0, 0.0]), np.array([1.0, 1e-300]))
@@ -268,6 +291,15 @@ class TestGenerateSynthetic:
     def test_rows_shuffled(self):
         data = generate_synthetic(100, 2, 3.0, 0.5, np.random.default_rng(10))
         assert data.labels[:50].sum() not in (0, 50)
+
+    @pytest.mark.parametrize("samples, features", [(1, 2), (10, 0)])
+    def test_too_few_samples_or_features_rejected(self, samples, features):
+        with pytest.raises(ValueError, match="need at least 2 samples and 1 feature"):
+            generate_synthetic(samples, features, 1.0, 0.5, np.random.default_rng(0))
+
+    def test_negative_separation_rejected(self):
+        with pytest.raises(ValueError, match="class_separation must be non-negative"):
+            generate_synthetic(10, 2, -1.0, 0.5, np.random.default_rng(0))
 
     def test_degenerate_balance_rejected(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,10 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([1, 2], [1, 0])
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="confusion matrix counts must be non-negative"):
+            ConfusionMatrix(tp=1, fp=0, fn=-1, tn=2)
+
 
 class TestMetrics:
     def test_first_fold_counts(self):
@@ -138,6 +142,13 @@ class TestAuc:
     def test_single_class_undefined(self):
         assert auc([0.2, 0.4], [1, 1]) is None
 
+    @pytest.mark.parametrize("scores, actual", [([0.2, 0.4, 0.6], [1, 0]),
+                                                ([[0.2, 0.4]], [[1, 0]])])
+    def test_shape_mismatch_rejected(self, scores, actual):
+        with pytest.raises(ValueError, match="scores and actual must be 1-D sequences "
+                                             "of equal length"):
+            auc(scores, actual)
+
     def test_matches_brute_force_fuzz(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
@@ -160,6 +171,10 @@ class TestKfoldSplits:
 
     def test_remainder_goes_last(self):
         assert kfold_splits(7, 3).fold_sizes() == [2, 2, 3]
+
+    def test_no_fold_rejected(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            kfold_splits(3, 0)
 
     def test_too_many_folds(self):
         with pytest.raises(ValueError):

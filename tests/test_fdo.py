@@ -155,6 +155,23 @@ class TestFdoConfig:
         with pytest.raises(ValueError, match="reversed"):
             FdoConfig(bounds=((1.0, -1.0),))
 
+    def test_empty_bounds_rejected(self):
+        with pytest.raises(ValueError, match="bounds must cover at least one dimension"):
+            FdoConfig(bounds=())
+
+    @pytest.mark.parametrize("bound", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bound_names_dimension(self, bound):
+        with pytest.raises(ValueError, match="bounds for dimension 1 must be finite"):
+            FdoConfig(bounds=((0.0, 1.0), (0.0, bound)))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            FdoConfig(bounds=((0.0, 1.0),), seed=-1)
+
+    def test_uniform_bounds_below_one_dimension_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            uniform_bounds(-1.0, 1.0, 0)
+
     def test_degenerate_bounds_allowed(self):
         config = FdoConfig(bounds=((0.0, 0.0),))
         assert config.dimension == 1

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,10 @@ class TestTopologyArithmetic:
         assert hidden_size_rule(18) == 37
         assert hidden_size_rule(1) == 3
         assert hidden_size_rule(2) == 5
+
+    def test_hidden_size_rule_below_one_feature_rejected(self):
+        with pytest.raises(ValueError, match="feature_count must be at least 1"):
+            hidden_size_rule(0)
 
     def test_rule_consistency_fuzz(self):
         for n in range(1, 30):
@@ -329,6 +334,13 @@ class TestForward:
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
         with pytest.raises(ValueError):
             forward(params, [1.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,)])
+    def test_batch_of_another_width_rejected(self, shape):
+        params = decode(np.zeros(4), MlpTopology(1, 1, 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"input matrix has shape {shape}, expected (*, 1)")):
+            forward_batch(params, np.zeros(shape))
 
     @pytest.mark.parametrize("rows", [2, 3])
     def test_one_network_entry_points_reject_a_stack(self, rows):

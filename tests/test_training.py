@@ -12,7 +12,7 @@ from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs,
                          encode, forward, forward_batch, sigmoid, vector_dimension)
 from fdo_mlp.training import (TrainingConfig, _backprop_pass, _flat_params, _mse,
                               _target_matrix, make_objective, mse_fitness, mse_gradient,
-                              run_statistics, train_bp_mlp, train_fdo_mlp)
+                              output_mse, run_statistics, train_bp_mlp, train_fdo_mlp)
 from test_mlp import layered_params
 
 XOR = LabeledDataset(
@@ -120,6 +120,10 @@ class TestMseFitness:
         data = LabeledDataset(np.zeros((2, 3)), np.array([0, 1]), ("a", "b", "c"))
         with pytest.raises(ValueError):
             mse_fitness(params, data)
+
+    def test_label_without_an_output_unit_rejected(self):
+        with pytest.raises(ValueError, match="label 2 out of range for 2 output units"):
+            output_mse(np.zeros((3, 2)), np.array([0, 2, 1]))
 
 
 class TestMse:
