@@ -138,7 +138,9 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weight-factor", type=finite_float, default=0.0)
     parser.add_argument("--bounds", type=finite_float, nargs=2, default=[-10.0, 10.0],
                         metavar=("LOWER", "UPPER"),
-                        help="search box for every weight (default: -10 10)")
+                        help="search box for every weight (default: -10 10); no bound may "
+                             "pass 2**127 / (max(features, hidden) + 1), the reach of the "
+                             "float32 objective")
     parser.add_argument("--hidden", type=int,
                         help="hidden units (default: 2 * features + 1)")
     parser.add_argument("--threshold", type=finite_float, default=0.5,

@@ -99,6 +99,12 @@ def hidden_size_rule(feature_count: int) -> int:
     return 2 * feature_count + 1
 
 
+def _float_array(x) -> np.ndarray:
+    """``x`` as an array of its own dtype if that is float32, else of float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
+
+
 def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
     """Unpack a flat vector into structured weights and biases; a ``(c, d)``
     stack of vectors gives params with a leading axis of length c.
@@ -106,9 +112,10 @@ def decode(flat: np.ndarray, topology: MlpTopology) -> MlpParams:
     Each layer's part of ``flat`` is copied once, transposed, into a
     C-ordered (fan-in + 1, units) block, so later writes to ``flat`` do not
     reach the result and both matrix products read contiguous weights (per
-    slice, for a stack).
+    slice, for a stack). A float32 ``flat`` gives float32 blocks, as the
+    training objective decodes its rows; any other input gives float64.
     """
-    flat = np.asarray(flat, dtype=float)
+    flat = _float_array(flat)
     expected = vector_dimension(topology)
     if flat.ndim not in (1, 2):
         raise ValueError(f"flat vectors have shape {flat.shape}, expected "
@@ -133,10 +140,11 @@ def encode(params: MlpParams) -> np.ndarray:
 
 
 def _logistic_of_negated(t, out=None):
-    """1 / (1 + exp(t)), the logistic function of s = -t, in three passes.
-    Below s = -709.78 exp(t) overflows and the result is 0; the exact value
-    there is under 2.3e-308. The caller silences that overflow's warning
-    with ``np.errstate(over="ignore")``. NaN stays NaN. Given ``out``, which
+    """1 / (1 + exp(t)), the logistic function of s = -t, in three passes,
+    in the dtype of ``t``. Below s = -709.78 exp(t) overflows and the result
+    is 0; the exact value there is under 2.3e-308 (below s = -88.73 in
+    float32, where it is under 3e-39). The caller silences that overflow's
+    warning with ``np.errstate(over="ignore")``. NaN stays NaN. Given ``out``, which
     may be ``t`` itself, nothing is allocated and ``t`` is spent: it holds
     exp(t) and then 1 + exp(t)."""
     scratch = None if out is None else t
@@ -147,11 +155,13 @@ def _logistic_of_negated(t, out=None):
 def sigmoid(s, out=None):
     """Logistic function 1 / (1 + exp(-s)), elementwise, with the edge values
     of :func:`_logistic_of_negated` and no overflow warning; scalars give
-    scalars. Given an ``out`` array shaped like an array ``s``, the result
-    is written to ``out`` and nothing is allocated: ``s`` then holds -s,
-    exp(-s) and 1 + exp(-s) in turn, so its values are lost.
+    scalars. A float32 ``s`` is computed and returned in float32, any other
+    input in float64.
+    Given an ``out`` array shaped like an array ``s``, the result is written
+    to ``out`` and nothing is allocated: ``s`` then holds -s, exp(-s) and
+    1 + exp(-s) in turn, so its values are lost.
     """
-    s = np.asarray(s, dtype=float)
+    s = _float_array(s)
     with np.errstate(over="ignore"):
         return _logistic_of_negated(np.negative(s, out=None if out is None else s), out)[()]
 
@@ -172,6 +182,12 @@ def _forward_pass(params: MlpParams, inputs: np.ndarray, sigmoid_output: bool,
     wherever BLAS rounds the joined product like the split one, then
     1 / (1 + exp(t)) in place. Stacked params (a leading axis of length k)
     give ``(k, samples, units)`` arrays, one product per slice.
+
+    The pass computes in the dtype of its operands: float64 for
+    :func:`forward`, :func:`forward_batch`, scoring and backprop, float32
+    for the training objective's inputs, decoded blocks and work array. A
+    stack's output product is written into ``out`` whatever its dtype; the
+    output bias and any output sigmoid then run in the dtype of ``out``.
 
     ``work`` holds t and is returned as the activations. For one network it
     is shaped like the hidden layer. For a stack of k it has c <= k slices,
@@ -199,10 +215,11 @@ def _forward_pass(params: MlpParams, inputs: np.ndarray, sigmoid_output: bool,
     else:
         output_biases = output_biases[:, None]
         k, samples = len(hidden_block), inputs.shape[0]
+        dtype = np.result_type(inputs, hidden_block)
         if work is None:
-            work = np.empty((k, samples, hidden_block.shape[-1]))
+            work = np.empty((k, samples, hidden_block.shape[-1]), dtype)
         if out is None:
-            out = np.empty((k, samples, weights_out.shape[-1]))
+            out = np.empty((k, samples, weights_out.shape[-1]), dtype)
         c = len(work)
         for start in range(0, k, c):
             chunk = slice(start, start + c)

@@ -1,6 +1,7 @@
 """Command-line behaviour: files, formats, determinism, configuration."""
 
 import csv
+import math
 import shlex
 from pathlib import Path
 
@@ -224,6 +225,29 @@ class TestTrain:
         assert run("train", "--data", xor_csv_path(), "--bounds", 5, 5,
                    "--out-dir", tmp_path / "run") == 1
         assert "weight_bounds are equal" in capsys.readouterr().err
+
+    def test_bounds_at_the_float32_limit_train_and_past_it_are_rejected(self, tmp_path,
+                                                                         capsys):
+        """XOR's 2-5-1 network may search weights up to 2**127 / 6, float32's
+        reach over a fan-in of 5 and a bias: at the limit the run trains to
+        finite MSEs; one step past it the command fails before any search,
+        naming the bound and the limit. The box is [0, bound], all of one sign,
+        so that every sum adds up rather than cancels."""
+        limit = 2.0 ** 127 / 6
+        out = tmp_path / "run"
+        assert run("train", "--data", xor_csv_path(), "--bounds", 0, limit,
+                   "--population", 10, "--iterations", 5, "--out-dir", out) == 0
+        curve = (out / "convergence.csv").read_text().splitlines()[1:]
+        assert len(curve) == 5
+        assert all(math.isfinite(float(line.split(",")[1])) for line in curve)
+        capsys.readouterr()
+        past = math.nextafter(limit, math.inf)
+        assert run("train", "--data", xor_csv_path(), "--bounds", 0, past,
+                   "--out-dir", tmp_path / "never") == 1
+        assert capsys.readouterr().err == (
+            f"error: weight bound {past!r} is past {limit!r}, the largest the float32 "
+            "objective evaluates: 2**127 / (fan-in 5 + 1)\n")
+        assert not (tmp_path / "never").exists()
 
     def test_missing_data_errors(self, tmp_path, capsys):
         assert run("train", "--data", tmp_path / "nope.csv",

@@ -12,7 +12,11 @@ backprop, cross-validation and XOR figures were re-recorded when the
 sigmoid became 1 / (1 + exp(-s)), which rounds s < 0 differently. The
 three backprop runs were re-recorded again when the W and b_h gradient
 became ((x₁ᵀ ⊙ d_outᵀ) @ h(1 - h)) ⊙ Vᵀ, which rounds differently from
-[x | 1]ᵀ @ d_hidden; the sigmoid-output run kept its train_mse.
+[x | 1]ᵀ @ d_hidden; the sigmoid-output run kept its train_mse. The FDO
+search, cross-validation and XOR figures were re-recorded when the training
+objective came to evaluate its hidden layer in float32, with the fold-one
+search's train_mse now the float64 MSE of its best params; that search kept
+its evaluation and row counts.
 A failure means a change altered seeded arithmetic, not that training got
 worse.
 
@@ -59,10 +63,10 @@ def test_fdo_fold_one_search():
     config = TrainingConfig.for_topology(TOPOLOGY, population=40,
                                          max_iterations=75, seed=11)
     model = train_fdo_mlp(train, config, rng)
-    assert repr(model.train_mse) == "0.008407583112692161"
+    assert repr(model.train_mse) == "0.008407780731171207"
     assert len(model.curve) == 75
     assert _digest(model.curve.values) == (
-        "a54a35db260303fcfb6b6543cd19d14d4394bae8fa2531615a9b40a0ac658712")
+        "8402587b31f797fcb24f097b87aac1f25b379a2adab93a2a7162505b94486f4c")
 
 
 def test_backprop_fold_one_500_epochs():
@@ -115,7 +119,7 @@ def test_fdo_fold_one_search_objective_rows():
     objective, rows = _row_counting(
         make_objective(config.topology, train, config.sigmoid_output))
     result = optimize(objective, config.fdo, rng)
-    assert repr(result.best_fitness) == "0.008407583112692161"
+    assert repr(result.best_fitness) == "0.00840777685517553"
     assert (rows[0], result.evaluations) == (3459, 5618)
 
 
@@ -131,7 +135,7 @@ def test_crossval_report_bytes(tmp_path):
                      "--population", "6", "--iterations", "5", "--seed", "9",
                      "--out-dir", str(tmp_path / "cv")]) == 0
     expected = {
-        "folds.csv": "190725150adbca52d2dc91cb68375185468eb3f16cb0597b09307dcea6f193c2",
+        "folds.csv": "19f34e34d603d83eccc8f9a4c042abeffd9f2af5d834d08580f229fe085a9fac",
         "fold_metrics.csv":
             "f2c74dbd83cb2de3e4bcad62464a4ec19b5d9743c904e3b0f72788fb1b7123fa",
     }
@@ -210,9 +214,9 @@ def test_xor_search_seed_zero():
                                          weight_bounds=(-10.0, 10.0), seed=0)
     result = optimize(make_objective(config.topology, xor, config.sigmoid_output),
                       config.fdo)
-    _assert_run(result, "0.0002088997450152195", 14346,
-                "a5a1ddfd3a19b548678d59bbf012a20d81d0bb90803d72877dcd58f2b0853dd1",
-                "78c0530cd1b68d08f4bd745cc86e3067092c34dfde1b42f57549983735b37ec6")
+    _assert_run(result, "0.00021226240290927935", 14343,
+                "10bc4c601c23e1db3ed5e106841c8876d482768cb006e9e31ae0ea432fbb5348",
+                "e1829fec74dfbf5f1c8dfe3ec04a71a5d57b88db9d7be934b6254bf37c650347")
 
 
 def _params_digest(params) -> str:

@@ -89,6 +89,18 @@ class TestCodec:
         assert params.hidden_output_weights[0, 0] == 3.0
         assert params.output_biases[0] == 4.0
 
+    def test_float32_vectors_give_float32_blocks_all_else_float64(self):
+        topology = MlpTopology(2, 3, 2)
+        flat = np.arange(vector_dimension(topology), dtype=np.float32) / 7
+        for given in (flat, flat[None], np.stack([flat, -flat])):
+            params = decode(given, topology)
+            assert params.hidden_block.dtype == params.output_block.dtype == np.float32
+        assert encode(decode(flat, topology)).tobytes() == flat.tobytes()
+        for given in (flat.astype(float), flat.astype(np.float16), flat.astype(np.longdouble),
+                      np.arange(flat.size), flat.tolist(), [int(v) for v in range(flat.size)]):
+            params = decode(given, topology)
+            assert params.hidden_block.dtype == params.output_block.dtype == np.float64
+
     def test_wrong_length_reports_sizes(self):
         with pytest.raises(ValueError, match="length 3, expected 4"):
             decode(np.zeros(3), MlpTopology(1, 1, 1))
@@ -233,6 +245,24 @@ class TestSigmoid:
         edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, -745.0])
         expected = np.array([0.5, 0.5, 1.0, 0.0, np.nan, 1.0, 0.0, 0.0])
         np.testing.assert_array_equal(sigmoid(edges), expected)
+
+    def test_float32_stays_float32_all_else_float64(self):
+        """A float32 array or scalar is computed in float32, with float32's
+        edge values (exp overflows below s = -88.73); anything else gives
+        float64."""
+        s = np.array([0.0, 2.0, -2.0, 88.0, -88.0, -89.0, 800.0, -800.0], dtype=np.float32)
+        values = sigmoid(s)
+        assert values.dtype == np.float32
+        with np.errstate(over="ignore"):
+            assert values.tolist() == (1 / (1 + np.exp(-s))).tolist()
+        assert values[5] == 0.0 and values[4] > 0.0
+        assert isinstance(sigmoid(np.float32(2.0)), np.float32)
+        out = np.empty_like(s)
+        assert np.shares_memory(sigmoid(s.copy(), out), out)
+        assert out.tobytes() == values.tobytes()
+        for given in (2.0, 2, np.float16(2.0), np.float64(2.0), [2.0], np.array([2]),
+                      np.array([2.0], dtype=np.float16), np.array([2.0], dtype=np.longdouble)):
+            assert np.asarray(sigmoid(given)).dtype == np.float64, given
 
     def test_out_gives_allocating_bits(self):
         """With ``out``, the same bits are written there and ``s`` is scratch."""

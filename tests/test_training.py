@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from fdo_mlp.data import LabeledDataset, generate_synthetic, min_max_normalize
-from fdo_mlp.fdo import EvaluationError
+from fdo_mlp.fdo import EvaluationError, FdoConfig
 from fdo_mlp.mlp import (MlpParams, MlpTopology, _forward_pass, _negated_inputs, decode,
                          encode, forward, forward_batch, sigmoid, vector_dimension)
 from fdo_mlp.training import (TrainingConfig, _backprop_pass, _flat_params, _mse,
                               _target_matrix, make_objective, mse_fitness, mse_gradient,
-                              output_mse, run_statistics, train_bp_mlp, train_fdo_mlp)
+                              output_mse, run_statistics, train_bp_mlp, train_fdo_mlp,
+                              weight_limit)
 from test_mlp import layered_params
 
 XOR = LabeledDataset(
@@ -68,6 +69,29 @@ class TestTrainingConfig:
     def test_non_finite_weight_bounds_named(self, bounds):
         with pytest.raises(ValueError, match="weight_bounds must be finite"):
             TrainingConfig.for_topology(MlpTopology(2, 3, 1), weight_bounds=bounds)
+
+    def test_weight_bound_past_the_float32_limit_names_bound_and_limit(self):
+        """At 18-37-1 the limit is 2**127 / 38: the box may reach it, on either
+        side, and no further, however the config is built."""
+        topology = MlpTopology(18, 37, 1)
+        limit = weight_limit(topology)
+        assert limit == 2.0 ** 127 / 38
+        TrainingConfig.for_topology(topology, weight_bounds=(-limit, limit))
+        past = math.nextafter(limit, math.inf)
+        for bounds in ((-1.0, past), (-past, 1.0)):
+            with pytest.raises(ValueError) as err:
+                TrainingConfig.for_topology(topology, weight_bounds=bounds)
+            assert str(err.value) == (
+                f"weight bound {past!r} is past {limit!r}, the largest the float32 "
+                "objective evaluates: 2**127 / (fan-in 37 + 1)")
+        box = [(-1.0, 1.0)] * vector_dimension(topology)
+        box[5] = (0.0, past)
+        with pytest.raises(ValueError, match="is past"):
+            TrainingConfig(FdoConfig(bounds=tuple(box)), topology)
+
+    def test_weight_limit_reads_the_larger_fan_in(self):
+        assert weight_limit(MlpTopology(40, 3, 2)) == 2.0 ** 127 / 41
+        assert weight_limit(MlpTopology(2, 5, 1)) == 2.0 ** 127 / 6
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5, 7.0])
     def test_threshold_outside_a_sigmoid_range_rejected(self, threshold):
@@ -155,15 +179,36 @@ class TestMse:
 
 
 def chunk_size(topology, samples):
-    """Scouts per forward pass of the objective, by its byte budget."""
+    """Scouts per forward pass of the objective, by its byte budget of
+    float32 hidden-layer values."""
     from fdo_mlp.training import _CHUNK_BYTES
-    return max(1, _CHUNK_BYTES // (8 * samples * topology.hidden))
+    return max(1, _CHUNK_BYTES // (np.dtype(np.float32).itemsize * samples * topology.hidden))
+
+
+def float32_value(row, topology, data, sigmoid_output):
+    """Reference for one objective value: the forward body over ``row`` alone,
+    decoded in float32 as a stack of one, against float32 inputs, with its
+    outputs written into a float64 array, and the shared MSE of those
+    outputs' residuals."""
+    params = decode(np.asarray(row, dtype=np.float32)[None], topology)
+    inputs = _negated_inputs(data.features).astype(np.float32)
+    outputs = np.empty((1, data.n_samples, topology.outputs))
+    with np.errstate(over="ignore"):
+        _forward_pass(params, inputs, sigmoid_output, out=outputs)
+    return _mse(outputs[0] - _target_matrix(data.labels, topology.outputs))
+
+
+#: Relative distance of an objective value from mse_fitness of its row,
+#: bounded ten times above the worst measured over widths 1-64, 1-3 outputs,
+#: both activations and weights in [-10, 10] (1.2e-5).
+RELATIVE_BOUND = 1e-4
 
 
 class TestMakeObjective:
     def test_composition_identity_fuzz(self):
         """Also: a (k, d) matrix gives each row's value, bit for bit, for k
-        around the chunk size c of the topology and sample count."""
+        around the chunk size c of the topology and sample count. Each value
+        is the float32 pass over its row alone, and near mse_fitness."""
         rng = np.random.default_rng(15)
         for topology, samples in ((MlpTopology(2, 3, 1), 6), (MlpTopology(2, 5, 1), 4),
                                   (MlpTopology(3, 4, 2), 9), (MlpTopology(18, 37, 1), 230)):
@@ -172,8 +217,11 @@ class TestMakeObjective:
             for flag, scale in ((False, 1.0), (True, 1.0), (False, 10.0), (True, 10.0)):
                 objective = make_objective(topology, data, sigmoid_output=flag)
                 for _ in range(20):
-                    params = random_params(rng, topology, scale)
-                    assert objective(encode(params)) == mse_fitness(params, data, flag)
+                    flat = encode(random_params(rng, topology, scale))
+                    value = objective(flat)
+                    assert value == float32_value(flat, topology, data, flag)
+                    assert value == pytest.approx(mse_fitness(decode(flat, topology), data, flag),
+                                                  rel=RELATIVE_BOUND)
                 if scale == 1.0:
                     continue
                 for k in sorted({1, 2, max(c - 1, 1), c, c + 1, 40}):
@@ -181,26 +229,65 @@ class TestMakeObjective:
                     values = objective(rows)
                     assert values.shape == (k,)
                     assert values.tolist() == [
-                        mse_fitness(decode(row, topology), data, flag) for row in rows]
+                        float32_value(row, topology, data, flag) for row in rows]
 
     @pytest.mark.parametrize("hidden", [1, 2, 3, 4, 9, 17, 36, 37, 64])
     def test_bits_match_mse_fitness_across_widths(self, hidden):
-        """At widths where the joined hidden product rounds otherwise than
-        x @ W + b_h, the objective's stacked pass still gives mse_fitness of
-        each decoded row bit for bit, and of params built from copies of
-        their blocks: both take the one forward body."""
+        """At every width, with 1 to 3 outputs and either output activation,
+        the objective's stacked float32 pass gives the single-row float32
+        pass of each row bit for bit, also for rows given in float32, and
+        mse_fitness of each decoded row within RELATIVE_BOUND."""
         rng = np.random.default_rng(60 + hidden)
         for _ in range(3):
             topology = MlpTopology(int(rng.integers(1, 21)), hidden, int(rng.integers(1, 4)))
             data = random_dataset(rng, int(rng.integers(2, 60)), topology.inputs)
             rows = rng.uniform(-5, 5, (int(rng.integers(1, 12)), vector_dimension(topology)))
             for flag in (False, True):
-                values = make_objective(topology, data, flag)(rows).tolist()
-                decoded = [decode(row, topology) for row in rows]
-                copied = [MlpParams(p.hidden_block.copy(), p.output_block.copy())
-                          for p in decoded]
-                assert values == [mse_fitness(p, data, flag) for p in decoded]
-                assert values == [mse_fitness(p, data, flag) for p in copied]
+                objective = make_objective(topology, data, flag)
+                values = objective(rows).tolist()
+                assert values == [float32_value(row, topology, data, flag) for row in rows]
+                assert values == objective(rows.astype(np.float32)).tolist()
+                assert values == pytest.approx(
+                    [mse_fitness(decode(row, topology), data, flag) for row in rows],
+                    rel=RELATIVE_BOUND)
+
+    def test_values_within_the_relative_bound_of_mse_fitness(self):
+        """The float32 objective ranks networks as float64 would, up to
+        RELATIVE_BOUND: over 200 networks at the pipeline's 18-37-1 shape and
+        230 rows, with weights in the default box, and at small shapes."""
+        rng = np.random.default_rng(23)
+        for topology, samples in ((MlpTopology(18, 37, 1), 230), (MlpTopology(4, 9, 3), 30)):
+            data = random_dataset(rng, samples, topology.inputs)
+            rows = rng.uniform(-10, 10, (200, vector_dimension(topology)))
+            for flag in (False, True):
+                values = make_objective(topology, data, flag)(rows)
+                exact = np.array([mse_fitness(decode(row, topology), data, flag)
+                                  for row in rows])
+                assert float(np.max(np.abs(values - exact) / exact)) < RELATIVE_BOUND
+
+    def test_feature_past_the_float32_range_names_column(self):
+        topology = MlpTopology(2, 3, 1)
+        data = LabeledDataset(np.array([[0.5, 1.0], [0.25, -1e39]]), np.array([0, 1]),
+                              ("a", "b"))
+        with pytest.raises(ValueError, match=r"column 'b': -1e\+39 is past float32's range"):
+            make_objective(topology, data)
+        edge = float(np.finfo(np.float32).max)
+        fits = LabeledDataset(np.array([[0.5, edge], [0.25, -edge]]), np.array([0, 1]),
+                              ("a", "b"))
+        make_objective(topology, fits)
+
+    def test_weights_at_the_limit_give_finite_values(self):
+        """Every weight at +-weight_limit, with features at 0 and 1, the most a
+        min-max scaled feature holds: each sum of the pass stays finite."""
+        for topology in (MlpTopology(18, 37, 1), MlpTopology(40, 3, 2), MlpTopology(1, 1, 1)):
+            limit = weight_limit(topology)
+            data = LabeledDataset(np.array([[1.0] * topology.inputs, [0.0] * topology.inputs]),
+                                  np.array([0, 1]), tuple(f"c{i}" for i in range(topology.inputs)))
+            d = vector_dimension(topology)
+            rows = np.array([np.full(d, limit), np.full(d, -limit),
+                             np.where(np.arange(d) % 2, limit, -limit)])
+            for flag in (False, True):
+                assert np.isfinite(make_objective(topology, data, flag)(rows)).all()
 
     def test_one_forward_pass_and_no_target_rebuild_per_call(self, monkeypatch):
         """One decode of all the rows and one pass of the forward body per
@@ -239,7 +326,7 @@ class TestMakeObjective:
         for flag in (False, True):
             values = make_objective(topology, data, flag)(rows)
             assert np.isfinite(values).all()
-            assert values.tolist() == [mse_fitness(decode(row, topology), data, flag)
+            assert values.tolist() == [float32_value(row, topology, data, flag)
                                        for row in rows]
         params = decode(rows[0], topology)
         with np.errstate(over="ignore"):
@@ -345,6 +432,16 @@ class TestTrainFdoMlp:
         model = train_fdo_mlp(XOR, config)
         assert model.train_mse == pytest.approx(
             mse_fitness(model.params, XOR, config.sigmoid_output), abs=1e-12)
+
+    def test_train_mse_is_the_float64_mse_and_the_curve_the_search_values(self):
+        data = min_max_normalize(generate_synthetic(40, 3, 4.0, 0.5,
+                                                    np.random.default_rng(4)))
+        config = TrainingConfig.for_topology(MlpTopology(3, 7, 1), population=9,
+                                             max_iterations=15, seed=6)
+        model = train_fdo_mlp(data, config)
+        assert model.train_mse == mse_fitness(model.params, data, config.sigmoid_output)
+        objective = make_objective(config.topology, data, config.sigmoid_output)
+        assert model.curve.values[-1] == objective(encode(model.params))
 
     def test_learns_xor(self):
         from fdo_mlp.evaluation import classification_rate
