@@ -187,6 +187,7 @@ def score(params: MlpParams, data: LabeledDataset, threshold: float,
 def classification_rate(model_params, data: LabeledDataset, threshold: float = 0.5,
                         sigmoid_output: bool = False) -> float:
     """Fraction of samples whose predicted class matches the label."""
+    training._check_dataset(model_params.topology, data)
     predictions = output_labels(forward_batch(model_params, data.features, sigmoid_output),
                                 threshold)
     return float(np.mean(predictions == data.labels))

@@ -36,10 +36,11 @@ _CHUNK_BYTES = 512 * 1024
 def weight_limit(topology: MlpTopology) -> float:
     """The largest weight magnitude the float32 objective evaluates:
     2**127 / F, where F = max(inputs, hidden) + 1 is the most terms one
-    unit's sum adds (its fan-in and its bias). With features in [-1, 1], as
-    min-max scaling leaves them, and hidden activations in [0, 1], every sum
-    the forward pass makes then stays within 2**127, half of float32's
-    largest value, so no output overflows to inf and no sum turns to NaN."""
+    unit's sum adds (its fan-in and its bias). The objective's one contract:
+    with weights within it and features in [-1, 1] (min-max scaling gives
+    [0, 1]), every sum the forward pass makes stays within 2**127, half of
+    float32's largest value, so no output overflows and no sum turns to NaN.
+    :class:`TrainingConfig` checks the box, :func:`make_objective` the features."""
     return 2.0 ** 127 / (max(topology.inputs, topology.hidden) + 1)
 
 
@@ -49,8 +50,7 @@ class TrainingConfig:
 
     The optimizer's search space must have exactly one dimension per network
     parameter; :meth:`for_topology` builds a consistent pair from a uniform
-    weight box ``lower < upper``. No bound may pass :func:`weight_limit`,
-    beyond which the float32 objective could return inf or NaN mid-search.
+    weight box ``lower < upper``, within :func:`weight_limit`'s contract.
 
     ``sigmoid_output`` defaults to on: squashing the output unit bounds the
     MSE objective to [0, 1], which the black-box search needs to make
@@ -178,27 +178,26 @@ def make_objective(topology: MlpTopology, data: LabeledDataset,
     the searches of acceptance criterion 7 accept other moves from the
     first iteration on, and its average test rate falls from 0.969 to 0.934.
 
-    The dataset is checked, its negated inputs cast to float32 (a feature
-    float32 cannot hold is rejected, naming its column), its targets built
-    and the float32 work array of ``_CHUNK_BYTES`` allocated here, once. A
-    call casts its rows to float32 and makes one :func:`decode` of them into
-    float32 stacked weights, one forward pass over the stack, which runs the
-    hidden layer a work array's worth of rows at a time, and one MSE over
-    the residuals. Each value equals, bit for bit, that pass over its row
-    alone, and lies within a relative 1e-4 of :func:`mse_fitness` of the row
-    (1e-5 at worst over the tests' fuzz, 1e-8 typically). Calls share the work array, so one objective must not run in
-    two threads at once.
+    The dataset is checked, with the feature half of :func:`weight_limit`'s
+    contract, and set up here once: its negated inputs in float32, its
+    targets and the float32 work array of ``_CHUNK_BYTES``. A call casts its
+    rows to float32 and makes one :func:`decode` of them into float32 stacked
+    weights, one forward pass over the stack, a work array's worth of rows at
+    a time in the hidden layer, and one MSE over the residuals. Within the
+    contract each value is finite and equals, bit for bit, that pass over its
+    row alone. Over 1,000 weight vectors on a 230-row fold of criterion 7's
+    data it lay within a relative 3e-7 of :func:`mse_fitness` in the default
+    box of +-10, 1.3e-5 at +-1e3 with a sigmoid output and 1e-4 at +-1e6 with
+    a linear one. Calls share the work array: one objective, one thread.
     """
     _check_dataset(topology, data)
-    with np.errstate(over="ignore"):
-        inputs = _negated_inputs(data.features).astype(np.float32)
-    beyond = np.isinf(inputs[:, :-1])
-    if beyond.any():
-        row, column = np.argwhere(beyond)[0]
-        raise ValueError(
-            f"column {data.column_names[column]!r}: {float(data.features[row, column])!r} "
-            f"is past float32's range, whose largest magnitude is "
-            f"{float(np.finfo(np.float32).max)!r}: the training objective computes in float32")
+    outside = np.argwhere(np.abs(data.features) > 1.0)
+    if outside.size:
+        row, column = outside[0]
+        raise ValueError(f"row {row}, column {data.column_names[column]!r}: feature "
+                         f"{float(data.features[row, column])!r} is outside [-1, 1], which "
+                         "weight_limit assumes; min-max scaling gives [0, 1]")
+    inputs = _negated_inputs(data.features).astype(np.float32)
     targets = _target_matrix(data.labels, topology.outputs)
     chunk = max(1, _CHUNK_BYTES // (inputs.itemsize * data.n_samples * topology.hidden))
     layer = np.empty((chunk, data.n_samples, topology.hidden), np.float32)

@@ -1,6 +1,7 @@
 """Trainer tests: the MSE objective, both trainers, and run statistics."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -133,11 +134,15 @@ class TestMseFitness:
                 assert mse_fitness(params, data, flag) == pytest.approx(
                     loop_mse(params, data, flag), abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_empty_dataset_rejected(self):
+        """Also by classification_rate, which would read numpy's nan mean."""
+        from fdo_mlp.evaluation import classification_rate
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
         empty = LabeledDataset(np.empty((0, 1)), np.empty(0, dtype=int), ("x",))
-        with pytest.raises(ValueError):
-            mse_fitness(params, empty)
+        for call in (mse_fitness, classification_rate):
+            with pytest.raises(ValueError, match="dataset is empty"):
+                call(params, empty)
 
     def test_width_mismatch_rejected(self):
         params = decode(np.zeros(4), MlpTopology(1, 1, 1))
@@ -265,24 +270,32 @@ class TestMakeObjective:
                                   for row in rows])
                 assert float(np.max(np.abs(values - exact) / exact)) < RELATIVE_BOUND
 
-    def test_feature_past_the_float32_range_names_column(self):
-        topology = MlpTopology(2, 3, 1)
-        data = LabeledDataset(np.array([[0.5, 1.0], [0.25, -1e39]]), np.array([0, 1]),
-                              ("a", "b"))
-        with pytest.raises(ValueError, match=r"column 'b': -1e\+39 is past float32's range"):
-            make_objective(topology, data)
-        edge = float(np.finfo(np.float32).max)
-        fits = LabeledDataset(np.array([[0.5, edge], [0.25, -edge]]), np.array([0, 1]),
-                              ("a", "b"))
-        make_objective(topology, fits)
+    def test_feature_outside_the_unit_range_names_row_column_and_value(self):
+        """Features at exactly -1 and 1 are taken. The first one past either
+        edge, in any column, is rejected with its 0-based row, its column
+        and its value, also one float32 could hold."""
+        topology, labels = MlpTopology(3, 3, 1), np.array([0, 1, 0])
+        edges = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 0.0], [0.5, 0.0, -1.0]])
+        make_objective(topology, LabeledDataset(edges, labels, ("a", "b", "c")))
+        for value in (np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), -1e39, 1e36):
+            for column, name in enumerate("abc"):
+                features = edges.copy()
+                features[2, column] = value
+                with pytest.raises(ValueError, match=re.escape(
+                        f"row 2, column {name!r}: feature {float(value)!r} is outside "
+                        "[-1, 1]") + r".*min-max scaling gives \[0, 1\]"):
+                    make_objective(topology, LabeledDataset(features, labels, ("a", "b", "c")))
 
     def test_weights_at_the_limit_give_finite_values(self):
-        """Every weight at +-weight_limit, with features at 0 and 1, the most a
-        min-max scaled feature holds: each sum of the pass stays finite."""
+        """Every weight at +-weight_limit, with features at the edges of
+        [-1, 1] and between: rows of 1s, 0s and -1s, and one alternating
+        +-1. Each sum of the pass stays finite."""
         for topology in (MlpTopology(18, 37, 1), MlpTopology(40, 3, 2), MlpTopology(1, 1, 1)):
             limit = weight_limit(topology)
-            data = LabeledDataset(np.array([[1.0] * topology.inputs, [0.0] * topology.inputs]),
-                                  np.array([0, 1]), tuple(f"c{i}" for i in range(topology.inputs)))
+            n = topology.inputs
+            data = LabeledDataset(np.array([[1.0] * n, [0.0] * n, [-1.0] * n,
+                                            np.where(np.arange(n) % 2, 1.0, -1.0)]),
+                                  np.array([0, 1, 0, 1]), tuple(f"c{i}" for i in range(n)))
             d = vector_dimension(topology)
             rows = np.array([np.full(d, limit), np.full(d, -limit),
                              np.where(np.arange(d) % 2, limit, -limit)])
@@ -442,6 +455,20 @@ class TestTrainFdoMlp:
         assert model.train_mse == mse_fitness(model.params, data, config.sigmoid_output)
         objective = make_objective(config.topology, data, config.sigmoid_output)
         assert model.curve.values[-1] == objective(encode(model.params))
+
+    def test_unscaled_features_fail_before_the_search(self, monkeypatch):
+        """Features uniform in +-1e36 fit float32, and weights in +-1e4 lie well
+        inside weight_limit, yet their sums pass float32's reach: the run is
+        refused before optimize is called, not trained on a wrong objective."""
+        from fdo_mlp import training
+        rng = np.random.default_rng(5)
+        data = LabeledDataset(rng.uniform(-1e36, 1e36, (40, 4)), np.arange(40) % 2,
+                              ("a", "b", "c", "d"))
+        config = TrainingConfig.for_topology(MlpTopology(4, 9, 1), population=10,
+                                             max_iterations=5, weight_bounds=(-1e4, 1e4))
+        monkeypatch.setattr(training, "optimize", lambda *args: pytest.fail("search ran"))
+        with pytest.raises(ValueError, match=r"row 0, column 'a': .* is outside \[-1, 1\]"):
+            train_fdo_mlp(data, config)
 
     def test_learns_xor(self):
         from fdo_mlp.evaluation import classification_rate
